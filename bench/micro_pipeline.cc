@@ -96,6 +96,9 @@ measure(std::uint32_t cores, std::uint32_t llc_banks,
         for (std::uint64_t i = 0; i < total;) {
             std::size_t n = static_cast<std::size_t>(
                 std::min<std::uint64_t>(kBatch, total - i));
+            // `now` only rises, so it bounds every access still to
+            // come (the Simulator publishes its earliest core clock).
+            mem.advanceClockFloor(now);
             for (std::size_t j = 0; j < n; ++j) {
                 batch[j].acc = nextAccess(
                     rng, static_cast<CoreId>((i + j) % cores));

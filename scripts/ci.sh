@@ -400,21 +400,40 @@ if [ -f "$build/BENCH_micro_pipeline.json" ]; then
   prev_rate16=$(awk -F'[:,]' '/"accesses_per_sec_16core"/ {gsub(/ /,"",$2); print $2}' \
                 "$build/BENCH_micro_pipeline.json")
 fi
-"$build/micro_pipeline" --quick | tee "$build/micro_pipeline.txt"
-rate=$(awk '$1 == 8 && $2 == 1 {print $3}' "$build/micro_pipeline.txt")
-rate16=$(awk '$1 == 16 && $2 == 1 {print $3}' "$build/micro_pipeline.txt")
+# One sample swings by more than the floor's margin on a shared host
+# (490k..770k seen with no code change), so the gate judges the median
+# of several --quick samples of each row.
+perf_samples=5
+: > "$build/micro_pipeline.txt"
+for i in $(seq "$perf_samples"); do
+  "$build/micro_pipeline" --quick | tee -a "$build/micro_pipeline.txt"
+done
+# Sorted samples of one (cores, llc_banks) row.
+row_samples() {
+  awk -v c="$1" -v b="$2" '$1 == c && $2 == b {print $3}' \
+      "$build/micro_pipeline.txt" | sort -n
+}
+row_median() {
+  row_samples "$1" "$2" | awk '{v[NR] = $1} END {if (NR) print v[int((NR + 1) / 2)]}'
+}
+rate=$(row_median 8 1)
+rate16=$(row_median 16 1)
+rate16_min=$(row_samples 16 1 | head -1)
+rate16_max=$(row_samples 16 1 | tail -1)
 cat > "$build/BENCH_micro_pipeline.json" <<EOF
 {
   "bench": "micro_pipeline",
-  "config": "--quick; 8-core/1-bank row + 16-core/1-bank headline row",
+  "config": "--quick x ${perf_samples}, medians; 8-core/1-bank row + 16-core/1-bank headline row",
   "accesses_per_sec": ${rate:-0},
-  "accesses_per_sec_16core": ${rate16:-0}
+  "accesses_per_sec_16core": ${rate16:-0},
+  "accesses_per_sec_16core_min": ${rate16_min:-0},
+  "accesses_per_sec_16core_max": ${rate16_max:-0}
 }
 EOF
 cat "$build/BENCH_micro_pipeline.json"
 
 # Throughput-regression guard: the hard floor is the seed revision's
-# measured rate (scripts/perf_floors.json, committed); dropping below
+# measured rate (scripts/perf_floors.json, committed); a median below
 # it fails CI.  Falling short of the previous archived run only warns —
 # run-to-run noise on shared hosts is real, a trend is not a cliff.
 floor=$(awk -F'[:,]' '/"micro_pipeline_16core_floor"/ {gsub(/ /,"",$2); print $2}' \
@@ -423,11 +442,13 @@ if [ -z "${rate16:-}" ]; then
   echo "FAIL: micro_pipeline printed no 16-core/1-bank headline row"
   exit 1
 fi
+echo "micro_pipeline 16-core rate over ${perf_samples} samples:" \
+     "min ${rate16_min} median ${rate16} max ${rate16_max}"
 if awk "BEGIN{exit !(${rate16} < ${floor:-660000})}"; then
-  echo "FAIL: micro_pipeline 16-core rate ${rate16} below seed floor ${floor:-660000}"
+  echo "FAIL: micro_pipeline 16-core median ${rate16} below seed floor ${floor:-660000}"
   exit 1
 fi
-echo "micro_pipeline 16-core rate ${rate16} >= seed floor ${floor:-660000}"
+echo "micro_pipeline 16-core median ${rate16} >= seed floor ${floor:-660000}"
 if [ -n "$prev_rate16" ] && awk "BEGIN{exit !(${rate16} < ${prev_rate16})}"; then
   echo "WARN: micro_pipeline 16-core rate ${rate16} below previous archived ${prev_rate16}"
 fi

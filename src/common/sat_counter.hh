@@ -16,7 +16,8 @@ namespace garibaldi
 
 /**
  * An n-bit unsigned saturating counter.  Increments stick at 2^n - 1,
- * decrements stick at 0.
+ * decrements stick at 0.  Both fields are 16 bits wide (every width
+ * 1..16 fits), so predictor tables of counters stay dense.
  */
 class SatCounter
 {
@@ -28,25 +29,25 @@ class SatCounter
      * @param initial initial value, clamped into range
      */
     explicit SatCounter(unsigned bits, unsigned initial = 0)
-        : maxVal((1u << bits) - 1),
-          val(initial > maxVal ? maxVal : initial)
     {
         if (bits == 0 || bits > 16)
             panic("SatCounter width out of range: ", bits);
+        maxVal = static_cast<std::uint16_t>((1u << bits) - 1);
+        set(initial);
     }
 
     /** Saturating increment. */
     void
     increment(unsigned by = 1)
     {
-        val = (val + by > maxVal) ? maxVal : val + by;
+        set(by > maxVal ? maxVal : val + by);
     }
 
     /** Saturating decrement. */
     void
     decrement(unsigned by = 1)
     {
-        val = (by > val) ? 0 : val - by;
+        val = static_cast<std::uint16_t>(by > val ? 0 : val - by);
     }
 
     /** Current value. */
@@ -62,15 +63,15 @@ class SatCounter
     void
     set(unsigned v)
     {
-        val = v > maxVal ? maxVal : v;
+        val = static_cast<std::uint16_t>(v > maxVal ? maxVal : v);
     }
 
     /** Reset to zero. */
     void reset() { val = 0; }
 
   private:
-    unsigned maxVal = 1;
-    unsigned val = 0;
+    std::uint16_t maxVal = 1;
+    std::uint16_t val = 0;
 };
 
 } // namespace garibaldi

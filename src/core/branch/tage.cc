@@ -61,17 +61,28 @@ TagePredictor::taggedTag(Addr pc, unsigned table) const
         (mix64((pc >> 2) * 0x9e3779b1 ^ h ^ (table << 8)) & 0xff) | 0x100);
 }
 
-int
-TagePredictor::findProvider(Addr pc, std::size_t idx[kNumTables],
-                            std::uint16_t tag[kNumTables]) const
+const TagePredictor::Lookup &
+TagePredictor::lookup(Addr pc)
 {
+    Lookup &l = lastLookup;
+    if (l.valid && l.pc == pc && l.history == history)
+        return l;
+    l.pc = pc;
+    l.history = history;
+    l.valid = true;
     for (unsigned t = 0; t < kNumTables; ++t) {
-        idx[t] = taggedIndex(pc, t);
-        tag[t] = taggedTag(pc, t);
+        l.idx[t] = static_cast<std::uint16_t>(taggedIndex(pc, t));
+        l.tag[t] = taggedTag(pc, t);
     }
+    return l;
+}
+
+int
+TagePredictor::findProvider(const Lookup &l) const
+{
     for (int t = kNumTables - 1; t >= 0; --t) {
-        const TaggedEntry &e = tables[t][idx[t]];
-        if (e.valid && e.tag == tag[t])
+        const TaggedEntry &e = tables[t][l.idx[t]];
+        if (e.valid && e.tag == l.tag[t])
             return t;
     }
     return -1;
@@ -81,24 +92,22 @@ bool
 TagePredictor::predict(Addr pc)
 {
     ++nLookups;
-    std::size_t idx[kNumTables];
-    std::uint16_t tag[kNumTables];
-    int provider = findProvider(pc, idx, tag);
+    const Lookup &l = lookup(pc);
+    int provider = findProvider(l);
     if (provider >= 0)
-        return tables[provider][idx[provider]].ctr.isSet();
+        return tables[provider][l.idx[provider]].ctr.isSet();
     return base[baseIndex(pc)].isSet();
 }
 
 void
 TagePredictor::update(Addr pc, bool taken)
 {
-    std::size_t idx[kNumTables];
-    std::uint16_t tag[kNumTables];
-    int provider = findProvider(pc, idx, tag);
+    const Lookup &l = lookup(pc);
+    int provider = findProvider(l);
 
     bool predicted;
     if (provider >= 0) {
-        TaggedEntry &e = tables[provider][idx[provider]];
+        TaggedEntry &e = tables[provider][l.idx[provider]];
         predicted = e.ctr.isSet();
         if (predicted == taken)
             e.useful.increment();
@@ -122,10 +131,10 @@ TagePredictor::update(Addr pc, bool taken)
     } else if (provider < static_cast<int>(kNumTables) - 1) {
         // Allocate in a longer-history table with a non-useful entry.
         for (unsigned t = provider + 1; t < kNumTables; ++t) {
-            TaggedEntry &e = tables[t][idx[t]];
+            TaggedEntry &e = tables[t][l.idx[t]];
             if (!e.valid || e.useful.value() == 0) {
                 e.valid = true;
-                e.tag = tag[t];
+                e.tag = l.tag[t];
                 e.ctr = SatCounter(3, taken ? 4 : 3);
                 e.useful = SatCounter(2, 0);
                 ++nAllocs;

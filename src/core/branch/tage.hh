@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/sat_counter.hh"
+#include "common/sharing.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
 
@@ -61,18 +62,36 @@ class TagePredictor
         bool valid = false;
     };
 
+    /** Per-table index and tag of one (pc, history) lookup. */
+    struct Lookup
+    {
+        Addr pc = 0;
+        std::uint64_t history = 0;
+        bool valid = false;
+        std::array<std::uint16_t, kNumTables> idx{};
+        std::array<std::uint16_t, kNumTables> tag{};
+    };
+
     std::size_t baseIndex(Addr pc) const;
     std::size_t taggedIndex(Addr pc, unsigned table) const;
     std::uint16_t taggedTag(Addr pc, unsigned table) const;
     std::uint64_t foldedHistory(unsigned bits) const;
 
+    /**
+     * Indices and tags of @p pc under the current history.  predict()
+     * and the update() that trains the same branch ask for the same
+     * (pc, history), so the last lookup is kept and reused when both
+     * match; any other pair recomputes it.
+     */
+    const Lookup &lookup(Addr pc);
+
     /** Provider lookup shared by predict/update. */
-    int findProvider(Addr pc, std::size_t idx[kNumTables],
-                     std::uint16_t tag[kNumTables]) const;
+    int findProvider(const Lookup &l) const;
 
     std::vector<SatCounter> base;
     std::array<std::vector<TaggedEntry>, kNumTables> tables;
     std::uint64_t history = 0;
+    SIM_PER_WORKER Lookup lastLookup; //!< cache of lookup()
 
     struct BtbEntry
     {

@@ -1,6 +1,8 @@
 #include "mem/cache.hh"
 
 #include <algorithm>
+#include <memory>
+#include <new>
 
 #include "common/audit.hh"
 #include "common/intmath.hh"
@@ -98,7 +100,9 @@ CacheStats::toStatSet() const
 }
 
 Cache::Cache(const CacheParams &params_)
-    : params(params_), pending(params_.mshrs)
+    : params(params_), pending(params_.mshrs),
+      // Only the I-oracle mode (Fig. 3(d)) records seen lines.
+      oracleSeen(params_.instrOracle ? 1024 : 0)
 {
     if (params.sizeBytes == 0 || params.assoc == 0)
         fatal(params.name, ": size and associativity must be non-zero");
@@ -111,8 +115,18 @@ Cache::Cache(const CacheParams &params_)
     if (params.instrPartitionWays >= params.assoc)
         fatal(params.name, ": instruction partition (",
               params.instrPartitionWays, " ways) must leave data ways");
-    linesArr.resize(lines);
-    probeTags.assign(lines, kInvalidProbeTag);
+    setBytes = std::size_t{params.assoc} * (sizeof(Addr) + sizeof(CacheLine));
+    setStore.reset(static_cast<std::byte *>(::operator new[](
+        setBytes * nSets, std::align_val_t{kSetAlign})));
+    for (std::uint32_t s = 0; s < nSets; ++s) {
+        std::byte *block = setStore.get() + s * setBytes;
+        std::uninitialized_fill_n(reinterpret_cast<Addr *>(block),
+                                  params.assoc, kInvalidProbeTag);
+        std::uninitialized_value_construct_n(
+            reinterpret_cast<CacheLine *>(
+                block + std::size_t{params.assoc} * sizeof(Addr)),
+            params.assoc);
+    }
     repl = makePolicy(params.policy, nSets, params.assoc,
                       params.policyParams);
     pol.bind(params.policy, repl.get());
@@ -204,22 +218,37 @@ Cache::setOf(Addr line_addr) const
     return static_cast<std::uint32_t>(ln) & (nSets - 1);
 }
 
+Addr *
+Cache::probeRow(std::uint32_t set) const
+{
+    return std::launder(
+        reinterpret_cast<Addr *>(setStore.get() + set * setBytes));
+}
+
+CacheLine *
+Cache::frameRow(std::uint32_t set) const
+{
+    return std::launder(reinterpret_cast<CacheLine *>(
+        setStore.get() + set * setBytes +
+        std::size_t{params.assoc} * sizeof(Addr)));
+}
+
 CacheLine &
 Cache::frame(std::uint32_t set, std::uint32_t way)
 {
-    return linesArr[std::size_t{set} * params.assoc + way];
+    return frameRow(set)[way];
 }
 
 const CacheLine &
 Cache::lineAt(std::uint32_t set, std::uint32_t way) const
 {
-    return linesArr[std::size_t{set} * params.assoc + way];
+    return frameRow(set)[way];
 }
 
 std::uint32_t
 Cache::probeWay(std::uint32_t set, Addr tag) const
 {
-    const Addr *base = &probeTags[std::size_t{set} * params.assoc];
+    const Addr *base = probeRow(set);
     for (std::uint32_t w = 0; w < params.assoc; ++w) {
         if (base[w] == tag)
             return w;
@@ -231,7 +260,7 @@ std::uint32_t
 Cache::probeWayAndInvalid(std::uint32_t set, Addr tag,
                           std::uint32_t &first_invalid) const
 {
-    const Addr *base = &probeTags[std::size_t{set} * params.assoc];
+    const Addr *base = probeRow(set);
     first_invalid = params.assoc;
     for (std::uint32_t w = 0; w < params.assoc; ++w) {
         if (base[w] == tag)
@@ -248,7 +277,7 @@ Cache::findInSet(std::uint32_t set, Addr tag)
     std::uint32_t w = probeWay(set, tag);
     if (w == params.assoc)
         return nullptr;
-    return &linesArr[std::size_t{set} * params.assoc + w];
+    return &frame(set, w);
 }
 
 CacheLine *
@@ -281,7 +310,7 @@ Cache::access(const MemAccess &acc)
     std::uint32_t way = probeWay(set, tag);
     CacheLine *line =
         way < params.assoc
-            ? &linesArr[std::size_t{set} * params.assoc + way]
+            ? &frame(set, way)
             : nullptr;
 
     if (!acc.isPrefetch) {
@@ -319,7 +348,6 @@ Cache::access(const MemAccess &acc)
             }
             pol.onHit(set, way, acc);
             line->lastUse = ++useTick;
-            line->owner = acc.core;
             if (acc.isWrite)
                 line->dirty = true;
         }
@@ -450,8 +478,7 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
     l.isInstr = acc.isInstr;
     l.prefetched = acc.isPrefetch;
     l.lastUse = ++useTick;
-    l.owner = acc.core;
-    probeTags[std::size_t{set} * params.assoc + way] = l.tag;
+    probeRow(set)[way] = l.tag;
     pol.onInsert(set, way, acc);
     if (acc.isPrefetch)
         ++stat.prefetchInserts;
@@ -482,7 +509,7 @@ Cache::invalidate(Addr line_addr)
     if (companion)
         companion->observeEvict(line_addr, l.isInstr);
     l.invalidate();
-    probeTags[std::size_t{set} * params.assoc + w] = kInvalidProbeTag;
+    probeRow(set)[w] = kInvalidProbeTag;
     return was_dirty;
 }
 

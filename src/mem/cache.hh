@@ -13,7 +13,9 @@
 #ifndef GARIBALDI_MEM_CACHE_HH
 #define GARIBALDI_MEM_CACHE_HH
 
+#include <cstddef>
 #include <memory>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -189,6 +191,15 @@ class Cache
     /** True when all MSHRs are busy at @p now. */
     bool mshrsFull(Cycle now);
 
+    /**
+     * Promise that no later pendingReady()/mshrsFull() query runs at a
+     * clock below @p floor, letting the MSHR book drop fills that
+     * completed at or before it (PendingTable::advanceFloor).
+     */
+    void advanceClockFloor(Cycle floor) { pending.advanceFloor(floor); }
+    /** Entries held by the MSHR book, live or already completed. */
+    std::size_t pendingEntries() const { return pending.size(); }
+
     // ---- bank contention model (bankServiceCycles > 0) ---------------
     /** The contention model is active on this cache. */
     bool contentionEnabled() const { return params.bankServiceCycles > 0; }
@@ -236,6 +247,24 @@ class Cache
     /** Sentinel for an invalid frame in the probe array (line numbers
      *  are < 2^58, so it can never collide with a real tag). */
     static constexpr Addr kInvalidProbeTag = ~Addr{0};
+    /** Alignment of the set store: every set block starts on a host
+     *  cache line (block sizes are multiples of 64 for assoc % 2 == 0). */
+    static constexpr std::size_t kSetAlign = 64;
+
+    /** Frees the aligned set store. */
+    struct AlignedDelete
+    {
+        void
+        operator()(std::byte *p) const
+        {
+            ::operator delete[](p, std::align_val_t{kSetAlign});
+        }
+    };
+
+    /** The set's probe-tag row (assoc entries). */
+    Addr *probeRow(std::uint32_t set) const;
+    /** The set's frames (assoc entries). */
+    CacheLine *frameRow(std::uint32_t set) const;
 
     Cycle reserveSlot(std::vector<Cycle> &busy_until, Cycle at,
                       Cycle issued, std::uint64_t &queue_cycles);
@@ -264,16 +293,18 @@ class Cache
     // is SIM_PER_WORKER; only the aggregate stats merge across shards.
     SIM_SHARED_CONST CacheParams params;
     SIM_SHARED_CONST std::uint32_t nSets;
-    SIM_PER_WORKER std::vector<CacheLine> linesArr;
     /**
-     * SoA probe metadata: per-frame line-number tag, kInvalidProbeTag
-     * when the frame is invalid.  The per-access tag scan and the
-     * invalid-way scan touch only this array (one or two host cache
-     * lines per set) instead of striding over CacheLine structs;
-     * linesArr stays authoritative for everything else (lineAt, dirty
-     * bits, eviction metadata).
+     * Set-major frame storage, one block per set: the set's probe row —
+     * per-frame line-number tags, kInvalidProbeTag when the frame is
+     * invalid — followed by its CacheLine frames.  The per-access tag
+     * scan touches only the probe row (one or two host cache lines),
+     * and the frame it then reads or fills sits in the same block, so
+     * a probe and its frame share a page rather than living in two
+     * arrays megabytes apart.  The frames stay authoritative for
+     * everything but the scan (lineAt, dirty bits, eviction metadata).
      */
-    SIM_PER_WORKER std::vector<Addr> probeTags;
+    SIM_PER_WORKER std::unique_ptr<std::byte[], AlignedDelete> setStore;
+    SIM_SHARED_CONST std::size_t setBytes = 0; //!< bytes per set block
     SIM_PER_WORKER std::unique_ptr<ReplacementPolicy> repl;
     /** Devirtualized hot-path view of *repl (same object). */
     SIM_PER_WORKER PolicyDispatch pol;

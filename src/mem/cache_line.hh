@@ -8,6 +8,8 @@
 #ifndef GARIBALDI_MEM_CACHE_LINE_HH
 #define GARIBALDI_MEM_CACHE_LINE_HH
 
+#include <type_traits>
+
 #include "common/types.hh"
 
 namespace garibaldi
@@ -17,12 +19,11 @@ namespace garibaldi
 struct CacheLine
 {
     Addr tag = 0;            //!< full line address (paddr >> 6)
+    Tick lastUse = 0;        //!< cache-maintained LRU stamp
     bool valid = false;
     bool dirty = false;
     bool isInstr = false;    //!< 1-bit instruction indicator
     bool prefetched = false; //!< inserted by a prefetcher, not yet demanded
-    Tick lastUse = 0;        //!< cache-maintained LRU stamp
-    CoreId owner = 0;        //!< core that inserted / last touched
 
     /** Invalidate the frame, clearing all metadata. */
     void
@@ -35,6 +36,13 @@ struct CacheLine
         lastUse = 0;
     }
 };
+
+// One frame per 24 B: every cache's frames are resident for the whole
+// run, so padding here is host memory the simulator touches.  Frames
+// live in raw set blocks (Cache::setStore) and are never destroyed.
+static_assert(sizeof(CacheLine) == 24, "CacheLine packing");
+static_assert(std::is_trivially_destructible_v<CacheLine>,
+              "set blocks skip frame destructors");
 
 } // namespace garibaldi
 

@@ -18,10 +18,7 @@
 #ifndef GARIBALDI_MEM_FLAT_TABLES_HH
 #define GARIBALDI_MEM_FLAT_TABLES_HH
 
-#include <algorithm>
 #include <cstddef>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "common/intmath.hh"
@@ -50,24 +47,26 @@ tableCapacity(std::size_t expected)
 /**
  * Open-addressed line → ready-cycle map modeling in-flight fills.
  *
- * Matches the lazy-expiry semantics of the map it replaces (entries are
- * only observed-and-erased by lookups), but stays bounded on long runs:
- * when the table would grow, entries whose ready time lies more than
- * kExpirySlack cycles behind the latest scheduled fill are swept first.
- * The simulator bounds cross-core clock skew to a few thousand cycles,
- * so no core can still observe such an entry as in flight and the sweep
- * is behavior-neutral.
+ * Entries are observed-and-erased lazily by lookups (pendingReady) and
+ * swept by pruneExpired(now) — a pass over the table, which for the L1
+ * books that ask mshrsFull() is a few dozen slots.  compact(), run when
+ * a booking would push occupancy past 3/4, drops entries that no later
+ * query can observe as in flight:
  *
- * Expiry is a lazy min-heap of (ready, key) records: set() pushes one
- * record per booking and never edits old ones, and pruneExpired() pops
- * records whose time has come, tombstoning the table entry only when
- * the record still matches it (a refresh, erase or compact leaves a
- * stale record behind, which the pop just skips).  Every (key, ready)
- * pair in the table has a matching record, so draining the heap to
- * @c now leaves the table holding exactly the fills still in flight —
- * an O(log n) push per booking instead of a capacity-wide sweep per
- * query, which matters because steady-state occupancy (every miss
- * books, MSHR pressure notwithstanding) runs well past the MSHR count.
+ *  - With a clock floor (advanceFloor): the owner guarantees that no
+ *    later query runs at a clock below the floor, so every entry with
+ *    ready <= floor reads as completed from here on and dropping it is
+ *    exact.  The books stay at O(fills in flight) instead of growing
+ *    with every fill of the run.
+ *  - Without one (drivers that never publish a floor): entries more
+ *    than kExpirySlack cycles behind the latest booked completion.
+ *
+ * The floor only changes which dead entries are still stored, so it is
+ * invisible to get()/pendingReady.  It can be visible to mshrsFull(),
+ * whose lazy prune fires only when size() reaches the MSHR count: with
+ * queries at monotone clocks (one core's L1) that is still exact, but
+ * owners that ask mshrsFull() at several cores' clocks must not set a
+ * floor (see MemoryHierarchy::advanceClockFloor).
  */
 class PendingTable
 {
@@ -77,7 +76,6 @@ class PendingTable
           ready(flat::tableCapacity(expected), 0),
           baseCap(keys.size())
     {
-        expiry.reserve(keys.size() * 4);
     }
 
     /** Record (or refresh) an in-flight fill of @p key. */
@@ -110,13 +108,6 @@ class PendingTable
                 first_tomb = i;
             i = (i + 1) & mask;
         }
-        expiry.emplace_back(ready_at, key);
-        std::push_heap(expiry.begin(), expiry.end(), std::greater<>{});
-        // Stale records (refreshes, erases, compact drops) accumulate
-        // when the owner rarely prunes; rebuild from the live table
-        // before they dominate.
-        if (expiry.size() > keys.size() * 4)
-            rebuildExpiry();
     }
 
     /** Ready cycle of @p key, or 0 when no fill is in flight. */
@@ -152,61 +143,57 @@ class PendingTable
         }
     }
 
-    /**
-     * Drop every entry whose ready time has passed @p now: pop expiry
-     * records due by @p now and tombstone each one that still matches
-     * its table entry (mismatches are stale records of a booking that
-     * was since refreshed, erased or dropped — skipped).
-     */
+    /** Drop every entry whose ready time has passed @p now. */
     void
     pruneExpired(Cycle now)
     {
-        while (!expiry.empty() && expiry.front().first <= now) {
-            std::pop_heap(expiry.begin(), expiry.end(),
-                          std::greater<>{});
-            auto [r, k] = expiry.back();
-            expiry.pop_back();
-            std::size_t mask = keys.size() - 1;
-            std::size_t i = static_cast<std::size_t>(mix64(k)) & mask;
-            while (keys[i] != flat::kEmptyKey) {
-                if (keys[i] == k) {
-                    if (ready[i] == r) {
-                        keys[i] = flat::kTombKey;
-                        --filled;
-                        ++tombs;
-                    }
-                    break;
-                }
-                i = (i + 1) & mask;
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            if (keys[i] < flat::kTombKey && ready[i] <= now) {
+                keys[i] = flat::kTombKey;
+                --filled;
+                ++tombs;
             }
         }
+    }
+
+    /**
+     * Promise that no later get()/pendingReady query runs at a clock
+     * below @p floor; compaction then drops every entry whose ready
+     * time is at or below it.  Monotone: a lower value is ignored.
+     */
+    void
+    advanceFloor(Cycle floor_)
+    {
+        if (floor_ > floor)
+            floor = floor_;
     }
 
     std::size_t size() const { return filled; }
 
   private:
     /**
-     * Expired-entry slack before compact() may drop an entry.
-     * Dropping is invisible only while no later query's clock can
-     * precede the dropped entry's ready time: a query can trail the
-     * watermark (the newest booked completion) by a full fill latency
-     * plus cross-core skew, and under saturated-contention sweeps that
-     * tail reaches tens of thousands of cycles — a 64k horizon was
-     * observed to flip pendingReady() answers on the 16-core banked
-     * contention mix.  4M cycles is far beyond any latency the timing
-     * model can produce.  (Routine cleanup is pruneExpired(), which is
-     * exact; this slack only gates the compaction fallback.)
+     * Expired-entry slack before compact() may drop an entry when no
+     * floor was published.  Dropping is invisible only while no later
+     * query's clock can precede the dropped entry's ready time: a query
+     * can trail the watermark (the newest booked completion) by a full
+     * fill latency plus cross-core skew, and under saturated-contention
+     * sweeps that tail reaches tens of thousands of cycles — a 64k
+     * horizon was observed to flip pendingReady() answers on the
+     * 16-core banked contention mix.  2^18 cycles is far beyond any
+     * latency the timing model can produce.
      */
     static constexpr Cycle kExpirySlack = Cycle{1} << 18;
 
     void
     compact()
     {
-        // First try reclaiming long-expired entries in place; grow only
-        // when the table is genuinely full of live fills.
+        // First try reclaiming dead entries in place; grow only when
+        // the table is genuinely full of live fills.
+        Cycle horizon = floor;
+        if (horizon == 0)
+            horizon = watermark > kExpirySlack ? watermark - kExpirySlack
+                                               : 0;
         std::size_t live = 0;
-        Cycle horizon =
-            watermark > kExpirySlack ? watermark - kExpirySlack : 0;
         for (std::size_t i = 0; i < keys.size(); ++i)
             if (keys[i] < flat::kTombKey && ready[i] > horizon)
                 ++live;
@@ -237,25 +224,13 @@ class PendingTable
         }
     }
 
-    /** Rebuild the expiry heap to exactly the table's live pairs. */
-    void
-    rebuildExpiry()
-    {
-        expiry.clear();
-        for (std::size_t i = 0; i < keys.size(); ++i)
-            if (keys[i] < flat::kTombKey)
-                expiry.emplace_back(ready[i], keys[i]);
-        std::make_heap(expiry.begin(), expiry.end(), std::greater<>{});
-    }
-
     std::vector<Addr> keys;
     std::vector<Cycle> ready;
-    /** Min-heap of (ready, key) bookings; may hold stale records. */
-    std::vector<std::pair<Cycle, Addr>> expiry;
     std::size_t baseCap;      //!< construction capacity (shrink floor)
     std::size_t filled = 0;
     std::size_t tombs = 0;
-    Cycle watermark = 0;
+    Cycle watermark = 0;      //!< latest booked completion
+    Cycle floor = 0;          //!< published clock floor (0 = none)
 };
 
 /** Open-addressed insert-only set of line numbers. */

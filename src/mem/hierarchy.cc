@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/audit.hh"
 #include "common/intmath.hh"
 #include "common/logging.hh"
 #include "common/stat_kind.hh"
@@ -16,7 +17,13 @@ SIM_STATS(MemoryHierarchy,
     SIM_STAT("coherence_penalty_cycles", counter));
 
 MemoryHierarchy::MemoryHierarchy(const HierarchyParams &params_)
-    : params(params_), instrCrit(params_.instrCritEntries)
+    : params(params_),
+      // Only the criticality-filtered instruction partition consults
+      // the tracker; other configurations keep a minimal table.
+      instrCrit(params_.llc.instrPartitionWays > 0 &&
+                        params_.llc.partitionCriticalOnly
+                    ? params_.instrCritEntries
+                    : 0)
 {
     if (params.numCores == 0)
         fatal("hierarchy needs at least one core");
@@ -102,8 +109,24 @@ MemoryHierarchy::submitBatch(const TimedAccess *batch, std::size_t count,
 }
 
 void
+MemoryHierarchy::advanceClockFloor(Cycle floor)
+{
+    if (floor <= clockFloor)
+        return;
+    clockFloor = floor;
+    for (auto &l2c : l2s)
+        l2c->advanceClockFloor(floor);
+    if (!llcSet->contentionEnabled())
+        for (std::uint32_t b = 0; b < llcSet->numBanks(); ++b)
+            llcSet->bank(b).advanceClockFloor(floor);
+}
+
+void
 MemoryHierarchy::execute(Transaction &txn)
 {
+    SIM_ASSERT(txn.issued >= clockFloor, "transaction issued at ",
+               txn.issued, " precedes the published clock floor ",
+               clockFloor);
     txn.cluster = clusterOf(txn.req.core);
     Cache &l1 = txn.req.isInstr ? *l1is[txn.req.core]
                                 : *l1ds[txn.req.core];

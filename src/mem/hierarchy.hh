@@ -105,6 +105,23 @@ class MemoryHierarchy
     /** Run @p txn through the staged pipeline. */
     void execute(Transaction &txn);
 
+    /**
+     * Clock-floor contract: the driver promises that every transaction
+     * it submits from now on is issued at or after @p floor (audit mode
+     * checks it in execute()).  Monotone; lower values are ignored.
+     *
+     * The floor lets the MSHR books that are only asked pendingReady()
+     * — the L2s, and the LLC banks when the bank contention model is
+     * off — drop completed fills, which keeps them at O(fills in
+     * flight) on long runs; their answers cannot change.  The L1s and
+     * a contention-mode LLC, which also ask mshrsFull(), keep the
+     * fallback expiry horizon: the contention LLC asks it on many
+     * cores' clocks, where dropping an entry can change which lazy
+     * prune fires.  Drivers that never publish a floor get the
+     * fallback everywhere.
+     */
+    void advanceClockFloor(Cycle floor);
+
     /** Attach the Garibaldi module to the LLC banks. */
     void setLlcCompanion(LlcCompanion *companion);
 
@@ -187,6 +204,8 @@ class MemoryHierarchy
     SIM_PER_WORKER std::vector<std::uint32_t>
         invalScratch; // directory sharer lists
     SIM_PER_WORKER DecayingCounterTable instrCrit;
+    /** Published clock floor: a lower bound on every later issue. */
+    SIM_PER_WORKER Cycle clockFloor = 0;
     SIM_EPOCH_MERGED(sum) std::uint64_t mshrStalls = 0;
     SIM_EPOCH_MERGED(sum) std::uint64_t coherencePenaltyCycles = 0;
 };

@@ -77,11 +77,12 @@ class MockingjayPolicy final : public ReplacementPolicy
 
     struct LineState
     {
-        int etr = 0;          //!< in granularity units, signed
         Tick promoted = 0;    //!< QBS promotion stamp (victim tie-break)
+        int etr = 0;          //!< in granularity units, signed
         bool valid = false;
         bool prefetched = false;
     };
+    static_assert(sizeof(LineState) == 16, "LineState packing");
 
     LineState &line(std::uint32_t set, std::uint32_t way)
     {

@@ -111,6 +111,9 @@ Simulator::runWindow(std::uint64_t instructions_per_core,
     // This keeps cross-core skew bounded by one instruction's stall,
     // which the DRAM bandwidth model needs for sane queueing.
     constexpr Cycle kHysteresis = 32;
+    // Earliest clock among cores whose quota for this window ran out:
+    // they resume from it in the next window.
+    Cycle parked = ~Cycle{0};
 
     while (!heap.empty()) {
         auto [when, c] = heap.top();
@@ -122,6 +125,11 @@ Simulator::runWindow(std::uint64_t instructions_per_core,
         // the bounded cross-core skew.
         if (telemetry && when >= telemetry->dueAt())
             telemetrySample(*telemetry, when);
+        // Every access issues at its core's clock and clocks only
+        // advance, so the earliest clock of any core that will still
+        // run — those in the heap and those parked until the next
+        // window — bounds every later transaction.
+        sys.hierarchy().advanceClockFloor(std::min(when, parked));
         CoreModel &core = sys.core(c);
         MicroOpStream &stream = sys.stream(c);
         Cycle horizon = (heap.empty() ? core.now() + 100000
@@ -140,6 +148,8 @@ Simulator::runWindow(std::uint64_t instructions_per_core,
         }
         if (remaining[c] > 0)
             heap.emplace(core.now(), c);
+        else
+            parked = std::min(parked, core.now());
     }
 }
 

@@ -38,7 +38,7 @@ struct SystemConfig
 
     // L2 per 4-core cluster (Table 1: 4 MB, 16-way, 18 cycles; scaled
     // to 1 MB here to match the scaled workload footprints — see
-    // DESIGN.md §3).
+    // README, "Scaled capacities (§3)").
     std::uint64_t l2Bytes = 1 * 1024 * 1024;
     std::uint32_t l2Assoc = 16;
     Cycle l2Latency = 18;

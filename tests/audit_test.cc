@@ -15,6 +15,9 @@
 #include "mem/cache.hh"
 #include "mem/llc_bank_set.hh"
 #include "obs/telemetry.hh"
+#include "sim/simulator.hh"
+#include "sim/system.hh"
+#include "workloads/mix.hh"
 
 namespace garibaldi
 {
@@ -129,6 +132,35 @@ TEST_F(AuditTest, AddPendingSilentOnFutureCompletion)
     c.addPending(0x1000, 10, 5);
     c.addPending(0x2000, 7, 7);
     c.addPending(0x3000, 9);  // clockless caller: now defaults to 0
+    SUCCEED();
+}
+
+// ---- Clock floor: no transaction issues below it --------------------
+
+TEST_F(AuditTest, ClockFloorFiresOnTransactionBelowIt)
+{
+    MemoryHierarchy mem(defaultConfig(2).hierarchyParams());
+    MemAccess acc;
+    acc.paddr = 0x4000;
+    mem.access(acc, 100);
+    mem.advanceClockFloor(200);
+    mem.access(acc, 200);
+    EXPECT_DEATH(mem.access(acc, 150), "audit: ");
+}
+
+TEST_F(AuditTest, SimulatorKeepsItsClockFloorContract)
+{
+    // Cores finish a window at different clocks; the ones done early
+    // resume from their own clock in the next window, so the floor the
+    // Simulator publishes must not run past them.  A mix of a slow and
+    // a fast workload spreads the clocks.
+    SystemConfig cfg = defaultConfig(4);
+    cfg.l2Bytes = 256 * 1024;
+    cfg.llcBytesPerCore = 192 * 1024;
+    System sys(cfg, explicitMix("skew", {"lbm", "noop", "tpcc", "noop"}));
+    Simulator sim(sys);
+    sim.run(20000, 20000);
+    sim.run(0, 20000);
     SUCCEED();
 }
 

@@ -197,6 +197,26 @@ TEST(SatCounter, ClampedConstruction)
     EXPECT_EQ(c.value(), 3u);
 }
 
+TEST(SatCounter, SixteenBitWidthSaturates)
+{
+    SatCounter c(16, 100000); // clamped into range
+    EXPECT_EQ(c.max(), 65535u);
+    EXPECT_EQ(c.value(), 65535u);
+    c.increment();
+    c.increment(70000);
+    EXPECT_EQ(c.value(), 65535u);
+    c.decrement(65535 - 32768);
+    EXPECT_EQ(c.value(), 32768u);
+    EXPECT_TRUE(c.isSet());
+    c.decrement();
+    EXPECT_FALSE(c.isSet());
+    c.decrement(70000);
+    EXPECT_EQ(c.value(), 0u);
+    c.set(1u << 20);
+    EXPECT_EQ(c.value(), 65535u);
+    EXPECT_EQ(sizeof(SatCounter), 4u);
+}
+
 TEST(Histogram, MeanAndPercentiles)
 {
     Histogram h(1, 100);

@@ -8,6 +8,7 @@
 
 #include <set>
 
+#include "common/rng.hh"
 #include "core/branch/tage.hh"
 #include "core/core_model.hh"
 #include "core/page_table.hh"
@@ -146,6 +147,32 @@ TEST(Tage, LearnsAlternatingPattern)
         dir = !dir;
     }
     EXPECT_GT(correct, 150);
+}
+
+TEST(Tage, UpdateDoesNotReuseAnotherBranchsLookup)
+{
+    // update() may reuse the index/tag predict() computed, but only for
+    // the same (pc, history): an intervening predict of another branch
+    // must not leak its lookup into the first branch's training.
+    TagePredictor plain, interleaved;
+    Pcg32 rng(5, 11);
+    int diverged = 0;
+    for (int i = 0; i < 20000; ++i) {
+        Addr a = 0x4000 + (Addr{rng.nextBounded(64)} << 2);
+        Addr b = 0x8000 + (Addr{rng.nextBounded(64)} << 2);
+        bool taken = rng.chance(0.7) != ((a >> 2) % 3 == 0);
+        bool pa = plain.predict(a);
+        bool ia = interleaved.predict(a);
+        interleaved.predict(b);
+        diverged += pa != ia;
+        plain.update(a, taken);
+        interleaved.update(a, taken);
+    }
+    EXPECT_EQ(diverged, 0);
+    EXPECT_EQ(plain.stats().get("allocations"),
+              interleaved.stats().get("allocations"));
+    EXPECT_EQ(plain.stats().get("correct"),
+              interleaved.stats().get("correct"));
 }
 
 TEST(Tage, IndirectTargetsLearned)

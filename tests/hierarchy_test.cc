@@ -159,7 +159,8 @@ TEST(Hierarchy, CrossClusterStoreInvalidates)
     EXPECT_EQ(mem.directory().sharerCount(line), 2u);
     // Store by core 3 (cluster 1, cold L1): reaches the L2, where the
     // upgrade path runs the directory (stores that hit in the L1 defer
-    // coherence to their next L2-level access — see DESIGN.md).
+    // coherence to their next L2-level access — see README,
+    // "Coherence at the L2 boundary").
     MemAccess store = load(3, line);
     store.isWrite = true;
     mem.access(store, 2000);

@@ -1,8 +1,9 @@
 /**
  * @file
  * Property tests: structural cache invariants under randomized access
- * streams, for every replacement policy (parameterized), plus pair
- * table invariants under random update/query interleavings.
+ * streams, for every replacement policy (parameterized), MSHR-book
+ * answers with and without a clock floor, plus pair table invariants
+ * under random update/query interleavings.
  *
  * These catch classes of bugs single-scenario unit tests miss: state
  * corruption that only appears after long histories, tag aliasing,
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -166,6 +168,88 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PolicyKind> &pinfo) {
         return std::string(policyKindName(pinfo.param));
     });
+
+// --------------------------------------------------------------------
+// MSHR book under a clock floor: the same booking/query stream fed to a
+// floored and an unfloored cache must get the same answers.
+// --------------------------------------------------------------------
+
+CacheParams
+mshrParams()
+{
+    CacheParams p;
+    p.name = "mshr";
+    p.sizeBytes = 16 * 1024;
+    p.assoc = 8;
+    p.mshrs = 16;
+    return p;
+}
+
+// L2/LLC shape: several cores query at clocks anywhere at or above the
+// floor (non-monotone), and only pendingReady() is asked.
+TEST(PendingFloorProperty, PendingReadyUnchangedBySkewedQueries)
+{
+    Cache floored(mshrParams()), plain(mshrParams());
+    Pcg32 rng(91, 3);
+    Cycle floor = 0;
+    std::uint64_t merges = 0;
+    for (int i = 0; i < 200000; ++i) {
+        floor += rng.nextBounded(4);
+        floored.advanceClockFloor(floor);
+        Cycle now = floor + rng.nextBounded(2000);
+        Addr line = Addr{rng.nextBounded(4096)} << kLineShift;
+        if (rng.chance(0.4)) {
+            Cycle ready = now + 1 + rng.nextBounded(rng.chance(0.1) ? 20000
+                                                                    : 600);
+            floored.addPending(line, ready, now);
+            plain.addPending(line, ready, now);
+        } else {
+            Cycle a = floored.pendingReady(line, now);
+            ASSERT_EQ(a, plain.pendingReady(line, now))
+                << "step " << i << " line " << line << " now " << now;
+            merges += a != 0;
+        }
+    }
+    EXPECT_GT(merges, 1000u); // the stream really exercises merges
+    EXPECT_EQ(floored.stats().mshrMerges, plain.stats().mshrMerges);
+    // The floor is what keeps the book small: compaction drops every
+    // fill that completed at or before it.
+    EXPECT_LT(floored.pendingEntries(), plain.pendingEntries());
+}
+
+// L1 shape: one core queries at a monotone clock and asks mshrsFull()
+// as well; the floor trails that clock.
+TEST(PendingFloorProperty, MshrsFullUnchangedAtMonotoneClock)
+{
+    Cache floored(mshrParams()), plain(mshrParams());
+    Pcg32 rng(23, 9);
+    Cycle now = 0;
+    std::uint64_t full = 0;
+    for (int i = 0; i < 200000; ++i) {
+        now += rng.nextBounded(6);
+        floored.advanceClockFloor(now - std::min<Cycle>(now,
+                                                        rng.nextBounded(50)));
+        Addr line = Addr{rng.nextBounded(256)} << kLineShift;
+        switch (rng.nextBounded(3)) {
+          case 0: {
+            Cycle ready = now + 1 + rng.nextBounded(400);
+            floored.addPending(line, ready, now);
+            plain.addPending(line, ready, now);
+            break;
+          }
+          case 1:
+            ASSERT_EQ(floored.pendingReady(line, now),
+                      plain.pendingReady(line, now)) << "step " << i;
+            break;
+          default: {
+            bool f = floored.mshrsFull(now);
+            ASSERT_EQ(f, plain.mshrsFull(now)) << "step " << i;
+            full += f;
+          }
+        }
+    }
+    EXPECT_GT(full, 1000u); // MSHR pressure really happened
+}
 
 // --------------------------------------------------------------------
 // Pair table properties under random interleavings.

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/stat_kind.hh"
 #include "garibaldi/garibaldi.hh"
 #include "sim/energy.hh"
@@ -111,6 +113,61 @@ TEST(Simulator, SeedChangesResults)
     SimResult a = Simulator(sys_a).run(2000, 10000);
     SimResult b = Simulator(sys_b).run(2000, 10000);
     EXPECT_NE(a.cores[0].cycles, b.cores[0].cycles);
+}
+
+/** Largest L2/LLC MSHR-book occupancy seen while every core runs. */
+class BookOccupancyProbe : public LlcEventListener
+{
+  public:
+    BookOccupancyProbe(System &sys_, std::uint64_t quota_)
+        : sys(sys_), quota(quota_)
+    {
+    }
+
+    void
+    onLlcAccess(const Transaction &, bool) override
+    {
+        // Once a core's quota runs out it parks at its clock until the
+        // next window, and the floor waits for it: only the span where
+        // every core still runs shows the steady-state bound.
+        for (CoreId c = 0; c < sys.numCores(); ++c)
+            if (sys.core(c).stats().instructions >= quota)
+                return;
+        MemoryHierarchy &mem = sys.hierarchy();
+        ++samples;
+        for (std::uint32_t cl = 0; cl < mem.numClusters(); ++cl)
+            maxL2 = std::max(maxL2, mem.l2(cl).pendingEntries());
+        maxLlc = std::max(maxLlc, mem.llc().bank(0).pendingEntries());
+    }
+
+    System &sys;
+    std::uint64_t quota;
+    std::uint64_t samples = 0;
+    std::size_t maxL2 = 0;
+    std::size_t maxLlc = 0;
+};
+
+TEST(Simulator, ClockFloorBoundsL2AndLlcMshrBooks)
+{
+    // Every miss books an MSHR entry at the L2 and the LLC, and neither
+    // is asked mshrsFull() (bank contention is off), so only the
+    // Simulator's clock floor drops completed fills.  Without it the
+    // books hold every fill of the last 2^18 cycles (about 6k entries
+    // per L2 and 12k at the LLC here); with it, the fills still in
+    // flight — a few hundred, since lbm's DRAM queues stretch fills to
+    // thousands of cycles.
+    constexpr std::uint64_t kQuota = 150000;
+    SystemConfig cfg = tinyConfig(4);
+    System sys(cfg, homogeneousMix("lbm", 4));
+    BookOccupancyProbe probe(sys, kQuota);
+    sys.hierarchy().addLlcListener(&probe);
+    Simulator(sys).run(0, kQuota);
+    MemoryHierarchy &mem = sys.hierarchy();
+    ASSERT_EQ(mem.llc().numBanks(), 1u);
+    EXPECT_GT(mem.llc().stats().misses, 20000u);
+    EXPECT_GT(probe.samples, 20000u);
+    EXPECT_LE(probe.maxL2, 1024u);
+    EXPECT_LE(probe.maxLlc, 2048u);
 }
 
 TEST(Simulator, DetailedWindowStatsExcludeWarmup)
