@@ -21,9 +21,8 @@
  * point reports the average DRAM queue delay per access — which falls
  * monotonically as channels spread the same fill traffic — and the
  * weighted speedup relative to the 2-channel Table 1 baseline.
- * --dram-ports sets the per-channel transfer slots and --dram-mshr
- * turns on DRAM-fed LLC MSHR occupancy, so the mode exercises every
- * memory-contention knob.
+ * --dram-ports sets the per-channel transfer slots, so the mode
+ * exercises every memory-contention knob.
  *
  * With --dram-timing the first-order DDR5 timing model is enabled
  * (row-buffer split via --row-bits, read<->write turnaround via
@@ -63,9 +62,6 @@ main(int argc, char **argv)
     args.addFlag("dram-sweep",
                  "sweep DRAM channels (1/2/4) instead of banks x shift");
     args.addInt("dram-ports", 1, "transfer slots per DRAM channel");
-    args.addFlag("dram-mshr",
-                 "DRAM-fed LLC MSHR occupancy (hold bank MSHRs until "
-                 "the channel's fill completion)");
     args.addFlag("dram-timing",
                  "sweep DRAM channels (1/2/4) with the DDR5 timing "
                  "model on (row-buffer split, turnaround, refresh)");
@@ -128,7 +124,6 @@ main(int argc, char **argv)
     if (dram_ports <= 0)
         fatal("--dram-ports must be positive");
     base.dram.channelPorts = static_cast<std::uint32_t>(dram_ports);
-    base.dramFedLlcMshrs = args.getFlag("dram-mshr");
     if (dram_timing) {
         // Contradictory knob combos die early with a clear message
         // (the PR-3 "--contention --svc 0" pattern); the Dram

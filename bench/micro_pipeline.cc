@@ -6,6 +6,11 @@
  * reports accesses per second.  CI tracks this number so hot-path
  * regressions are visible; the stream is seeded and identical across
  * runs and build revisions.
+ *
+ * A second table times one cache's access+insert churn per
+ * replacement policy (host ns per access), so a hot-path change in a
+ * single policy's hooks or victim scan shows against its own baseline
+ * instead of being averaged into the mixed hierarchy number.
  */
 
 #include <algorithm>
@@ -15,6 +20,7 @@
 #include <vector>
 
 #include "common/rng.hh"
+#include "mem/cache.hh"
 #include "mem/hierarchy.hh"
 
 using namespace garibaldi;
@@ -120,6 +126,38 @@ measure(std::uint32_t cores, std::uint32_t llc_banks,
     return static_cast<double>(accesses) / secs;
 }
 
+/**
+ * Host ns per access of a 1 MB 16-way cache under @p kind: every
+ * access that misses is inserted.  The footprint (2^18 lines) churns
+ * every set, and its reuse keeps the hit hooks busy too.
+ */
+double
+policyNsPerAccess(PolicyKind kind, std::uint64_t accesses)
+{
+    CacheParams p;
+    p.sizeBytes = 1024 * 1024;
+    p.assoc = 16;
+    p.policy = kind;
+    Cache cache(p);
+    Pcg32 rng(7, 11);
+    MemAccess a;
+    auto churn = [&](std::uint64_t total) {
+        for (std::uint64_t i = 0; i < total; ++i) {
+            a.paddr = Addr{rng.next() & 0x3ffff} << kLineShift;
+            a.pc = 0x400000 + (rng.next() & 0xfffc);
+            if (!cache.access(a))
+                cache.insert(a);
+        }
+    };
+    churn(accesses / 8); // fill the cache first
+    auto start = std::chrono::steady_clock::now();
+    churn(accesses);
+    auto stop = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::nano>(stop - start)
+               .count() /
+           static_cast<double>(accesses);
+}
+
 } // namespace
 
 int
@@ -141,5 +179,15 @@ main(int argc, char **argv)
     // The headline 16-core mix CI archives and floors.
     double rate16 = measure(16, 1, accesses);
     std::printf("%-8u %-10u %16.0f\n", 16u, 1u, rate16);
+
+    std::printf("\nper-policy cache churn (1 MB, 16-way)\n");
+    std::printf("%-8s %-10s %16s\n", "table", "policy", "ns/access");
+    for (PolicyKind kind :
+         {PolicyKind::LRU, PolicyKind::Random, PolicyKind::SRRIP,
+          PolicyKind::DRRIP, PolicyKind::SHiP, PolicyKind::Hawkeye,
+          PolicyKind::Mockingjay}) {
+        std::printf("%-8s %-10s %16.2f\n", "policy", policyKindName(kind),
+                    policyNsPerAccess(kind, accesses));
+    }
     return 0;
 }

@@ -79,7 +79,6 @@ MERGE_OPS = ("sum", "min", "max", "histogram_merge")
 # when one big sim is sharded across workers (ROADMAP "intra-sim
 # parallelism"), plus the classes that are already concurrent today.
 BOUNDARY_CLASSES = (
-    "BankQueueMonitor",
     "Cache",
     "Directory",
     "Dram",

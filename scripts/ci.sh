@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 verify with warnings promoted to errors, the hot-path
 # throughput microbenchmark, and the sweep-engine determinism +
-# wall-clock checks.  Emits BENCH_micro_pipeline.json (accesses/sec)
-# and BENCH_sweep.json (parallel speedup) so the perf trajectory is
-# tracked across PRs.  Usage: scripts/ci.sh [build-dir]
+# wall-clock checks.  Emits BENCH_micro_pipeline.json (accesses/sec and
+# per-policy ns/access) and BENCH_sweep.json (parallel speedup) so the
+# perf trajectory is tracked across PRs.  Usage: scripts/ci.sh [build-dir]
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -205,7 +205,7 @@ cat "$build/BENCH_bank_contention.json"
 # tracking alongside the weighted-speedup column.
 echo "== dram contention (channel sweep, --jobs 1 vs 8) =="
 dram_args=(--warmup 10000 --instr 20000 --mixes 1 --contention --svc 4
-           --ports 1 --dram-sweep --dram-ports 1 --dram-mshr)
+           --ports 1 --dram-sweep --dram-ports 1)
 "$build/bank_sensitivity" "${dram_args[@]}" --jobs 1 > "$build/dram_cont_j1.txt"
 "$build/bank_sensitivity" "${dram_args[@]}" --jobs 8 > "$build/dram_cont_j8.txt"
 if ! diff -q "$build/dram_cont_j1.txt" "$build/dram_cont_j8.txt" > /dev/null; then
@@ -226,7 +226,7 @@ spd_list=$(awk '$1 == 16 && $2 ~ /^[0-9]+$/ {printf "%s%s", sep, $3; sep=", "}' 
 cat > "$build/BENCH_dram_contention.json" <<EOF
 {
   "bench": "bank_sensitivity --dram-sweep",
-  "config": "16 cores, 4 llc banks, svc=4, dram-ports=1, dram-fed mshrs",
+  "config": "16 cores, 4 llc banks, svc=4, dram-ports=1",
   "metric": "avg DRAM queue delay per access (cycles) + weighted speedup",
   "channels": [$chan_list],
   "avg_dram_queue_delay_cycles": [$dly_list],
@@ -420,14 +420,22 @@ rate=$(row_median 8 1)
 rate16=$(row_median 16 1)
 rate16_min=$(row_samples 16 1 | head -1)
 rate16_max=$(row_samples 16 1 | tail -1)
+# Per-policy cache churn rows ("policy <name> <ns/access>"): one
+# baseline per PolicyKind, medians over the same samples.
+policy_ns=""
+for pol in lru random srrip drrip ship hawkeye mockingjay; do
+  med=$(row_median policy "$pol")
+  policy_ns="$policy_ns${policy_ns:+, }\"$pol\": ${med:-0}"
+done
 cat > "$build/BENCH_micro_pipeline.json" <<EOF
 {
   "bench": "micro_pipeline",
-  "config": "--quick x ${perf_samples}, medians; 8-core/1-bank row + 16-core/1-bank headline row",
+  "config": "--quick x ${perf_samples}, medians; 8-core/1-bank row + 16-core/1-bank headline row + per-policy churn",
   "accesses_per_sec": ${rate:-0},
   "accesses_per_sec_16core": ${rate16:-0},
   "accesses_per_sec_16core_min": ${rate16_min:-0},
-  "accesses_per_sec_16core_max": ${rate16_max:-0}
+  "accesses_per_sec_16core_max": ${rate16_max:-0},
+  "policy_ns_per_access": {${policy_ns}}
 }
 EOF
 cat "$build/BENCH_micro_pipeline.json"
@@ -451,18 +459,6 @@ fi
 echo "micro_pipeline 16-core median ${rate16} >= seed floor ${floor:-660000}"
 if [ -n "$prev_rate16" ] && awk "BEGIN{exit !(${rate16} < ${prev_rate16})}"; then
   echo "WARN: micro_pipeline 16-core rate ${rate16} below previous archived ${prev_rate16}"
-fi
-
-# Per-structure microbenchmarks (google-benchmark; optional dep): the
-# per-policy churn rows give every PolicyKind its own baseline.
-if [ -x "$build/micro_structures" ]; then
-  echo "== per-structure microbenchmarks =="
-  "$build/micro_structures" --benchmark_min_time=0.05 \
-      --benchmark_format=json > "$build/BENCH_micro_structures.json"
-  awk -F'"' '/"name"/ {print $4}' "$build/BENCH_micro_structures.json" \
-      | sed 's/^/  archived: /'
-else
-  echo "micro_structures not built (google-benchmark missing); skipping"
 fi
 
 # ---- sanitizer lanes -------------------------------------------------

@@ -24,11 +24,12 @@
  * Producers declare their exports once, next to the stats() method,
  * with a SIM_STATS block:
  *
- *   SIM_STATS(Dram,
- *       SIM_STAT("reads", counter),
- *       SIM_STAT("avg_queue_delay", rate("queued_cycles",
- *                                        "reads+writes")),
- *       SIM_STAT_GATED("row_hits", counter, "rowModelOn"));
+ *   SIM_STATS(Garibaldi,
+ *       SIM_STAT("pair_prefetches", counter),
+ *       SIM_STAT_GATED("helper.hits", counter, "helpers"),
+ *       SIM_STAT_GATED("helper.coverage",
+ *                      rate("helper.hits", "helper.hits+helper.misses"),
+ *                      "helpers"));
  *
  * SIM_STAT_GATED names the feature-flag token whose conditional must
  * enclose the add() site.  Declared names may contain '*' wildcards

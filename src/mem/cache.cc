@@ -29,13 +29,13 @@ SIM_STATS(CacheStats,
     SIM_STAT("mshr_merges", counter),
     SIM_STAT("qbs_queries", counter),
     SIM_STAT("qbs_protections", counter),
-    SIM_STAT_GATED("bank_reservations", counter, "contentionModeled"),
-    SIM_STAT_GATED("bank_backfills", counter, "contentionModeled"),
-    SIM_STAT_GATED("queued_accesses", counter, "contentionModeled"),
-    SIM_STAT_GATED("tag_queue_cycles", counter, "contentionModeled"),
-    SIM_STAT_GATED("data_queue_cycles", counter, "contentionModeled"),
-    SIM_STAT_GATED("queue_cycles", counter, "contentionModeled"),
-    SIM_STAT_GATED("mshr_stall_cycles", counter, "contentionModeled"));
+    SIM_STAT("bank_reservations", counter),
+    SIM_STAT("bank_backfills", counter),
+    SIM_STAT("queued_accesses", counter),
+    SIM_STAT("tag_queue_cycles", counter),
+    SIM_STAT("data_queue_cycles", counter),
+    SIM_STAT("queue_cycles", counter),
+    SIM_STAT("mshr_stall_cycles", counter));
 
 void
 CacheStats::accumulate(const CacheStats &other)
@@ -61,7 +61,6 @@ CacheStats::accumulate(const CacheStats &other)
     tagQueueCycles += other.tagQueueCycles;
     dataQueueCycles += other.dataQueueCycles;
     mshrStallCycles += other.mshrStallCycles;
-    contentionModeled = contentionModeled || other.contentionModeled;
 }
 
 StatSet
@@ -84,25 +83,20 @@ CacheStats::toStatSet() const
     s.add("mshr_merges", static_cast<double>(mshrMerges));
     s.add("qbs_queries", static_cast<double>(qbsQueries));
     s.add("qbs_protections", static_cast<double>(qbsProtections));
-    // Queue counters appear only when the contention model ran, so a
-    // model-off run exports exactly the historical stat surface.
-    if (contentionModeled) {
-        s.add("bank_reservations", static_cast<double>(bankReservations));
-        s.add("bank_backfills", static_cast<double>(bankBackfills));
-        s.add("queued_accesses", static_cast<double>(queuedAccesses));
-        s.add("tag_queue_cycles", static_cast<double>(tagQueueCycles));
-        s.add("data_queue_cycles", static_cast<double>(dataQueueCycles));
-        s.add("queue_cycles",
-              static_cast<double>(tagQueueCycles + dataQueueCycles));
-        s.add("mshr_stall_cycles", static_cast<double>(mshrStallCycles));
-    }
+    // Bank-contention counters: all zero while the model is off.
+    s.add("bank_reservations", static_cast<double>(bankReservations));
+    s.add("bank_backfills", static_cast<double>(bankBackfills));
+    s.add("queued_accesses", static_cast<double>(queuedAccesses));
+    s.add("tag_queue_cycles", static_cast<double>(tagQueueCycles));
+    s.add("data_queue_cycles", static_cast<double>(dataQueueCycles));
+    s.add("queue_cycles",
+          static_cast<double>(tagQueueCycles + dataQueueCycles));
+    s.add("mshr_stall_cycles", static_cast<double>(mshrStallCycles));
     return s;
 }
 
-Cache::Cache(const CacheParams &params_)
-    : params(params_), pending(params_.mshrs),
-      // Only the I-oracle mode (Fig. 3(d)) records seen lines.
-      oracleSeen(params_.instrOracle ? 1024 : 0)
+std::uint32_t
+Cache::setCount(const CacheParams &params)
 {
     if (params.sizeBytes == 0 || params.assoc == 0)
         fatal(params.name, ": size and associativity must be non-zero");
@@ -110,8 +104,18 @@ Cache::Cache(const CacheParams &params_)
     if (lines % params.assoc != 0)
         fatal(params.name, ": lines (", lines,
               ") not divisible by assoc (", params.assoc, ")");
-    nSets = static_cast<std::uint32_t>(lines / params.assoc);
-    checkPowerOf2(nSets, (params.name + " set count").c_str());
+    auto sets = static_cast<std::uint32_t>(lines / params.assoc);
+    checkPowerOf2(sets, (params.name + " set count").c_str());
+    return sets;
+}
+
+Cache::Cache(const CacheParams &params_)
+    : params(params_), nSets(setCount(params_)),
+      pending(params_.mshrs),
+      repl(params_.policy, nSets, params_.assoc, params_.policyParams),
+      // Only the I-oracle mode (Fig. 3(d)) records seen lines.
+      oracleSeen(params_.instrOracle ? 1024 : 0)
+{
     if (params.instrPartitionWays >= params.assoc)
         fatal(params.name, ": instruction partition (",
               params.instrPartitionWays, " ways) must leave data ways");
@@ -127,16 +131,12 @@ Cache::Cache(const CacheParams &params_)
                 block + std::size_t{params.assoc} * sizeof(Addr)),
             params.assoc);
     }
-    repl = makePolicy(params.policy, nSets, params.assoc,
-                      params.policyParams);
-    pol.bind(params.policy, repl.get());
     if (params.bankServiceCycles > 0) {
         if (params.bankPorts == 0)
             fatal(params.name, ": bankPorts must be non-zero when the "
                   "contention model is on");
         tagBusyUntil.assign(params.bankPorts, 0);
         dataBusyUntil.assign(params.bankPorts, 0);
-        stat.contentionModeled = true;
     }
 }
 
@@ -185,22 +185,6 @@ Cache::reserveSlot(std::vector<Cycle> &busy_until, Cycle at,
                          "bankServiceCycles/bankPorts");
     }
     return delay;
-}
-
-Cycle
-Cache::occupyTagPort(Cycle now)
-{
-    if (!contentionEnabled())
-        return 0;
-    return reserveSlot(tagBusyUntil, now, now, stat.tagQueueCycles);
-}
-
-Cycle
-Cache::occupyDataPort(Cycle at, Cycle issued)
-{
-    if (!contentionEnabled())
-        return 0;
-    return reserveSlot(dataBusyUntil, at, issued, stat.dataQueueCycles);
 }
 
 std::uint32_t
@@ -317,7 +301,7 @@ Cache::access(const MemAccess &acc)
         ++stat.accesses;
         if (acc.isInstr)
             ++stat.instrAccesses;
-        pol.onAccess(set, acc, line != nullptr);
+        repl.onAccess(set, acc, line != nullptr);
     }
 
     // Fig. 3(d) I-oracle: instructions always hit after first access and
@@ -346,7 +330,7 @@ Cache::access(const MemAccess &acc)
                 line->prefetched = false;
                 ++stat.prefetchUseful;
             }
-            pol.onHit(set, way, acc);
+            repl.onHit(set, way, acc);
             line->lastUse = ++useTick;
             if (acc.isWrite)
                 line->dirty = true;
@@ -396,7 +380,7 @@ Cache::pickVictim(std::uint32_t set, const MemAccess &acc,
     if (first_invalid < params.assoc)
         return first_invalid;
 
-    std::uint32_t way = pol.victim(set, acc);
+    std::uint32_t way = repl.victim(set, acc);
     if (!companion)
         return way;
 
@@ -414,10 +398,10 @@ Cache::pickVictim(std::uint32_t set, const MemAccess &acc,
         if (!companion->shouldProtect(cand.tag << kLineShift))
             break;
         ++stat.qbsProtections;
-        pol.promote(set, way);
+        repl.promote(set, way);
         cand.lastUse = ++useTick;
         ++attempts;
-        way = pol.victim(set, acc);
+        way = repl.victim(set, acc);
     }
     return way;
 }
@@ -467,7 +451,7 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
             ++stat.instrEvictions;
         if (ev.dirty)
             ++stat.writebacksOut;
-        pol.onEvict(set, way);
+        repl.onEvict(set, way);
         if (companion)
             companion->observeEvict(ev.lineAddr, ev.isInstr);
     }
@@ -479,7 +463,7 @@ Cache::insert(const MemAccess &acc, bool dirty, bool critical)
     l.prefetched = acc.isPrefetch;
     l.lastUse = ++useTick;
     probeRow(set)[way] = l.tag;
-    pol.onInsert(set, way, acc);
+    repl.onInsert(set, way, acc);
     if (acc.isPrefetch)
         ++stat.prefetchInserts;
     if (companion)
@@ -505,7 +489,7 @@ Cache::invalidate(Addr line_addr)
         return false;
     CacheLine &l = frame(set, w);
     bool was_dirty = l.dirty;
-    pol.onEvict(set, w);
+    repl.onEvict(set, w);
     if (companion)
         companion->observeEvict(line_addr, l.isInstr);
     l.invalidate();

@@ -25,7 +25,6 @@
 #include "mem/cache_line.hh"
 #include "mem/flat_tables.hh"
 #include "mem/llc_companion.hh"
-#include "mem/policy/dispatch.hh"
 #include "mem/policy/replacement.hh"
 #include "mem/request.hh"
 
@@ -99,14 +98,6 @@ struct CacheStats
     std::uint64_t tagQueueCycles = 0;   //!< cycles queued for a tag slot
     std::uint64_t dataQueueCycles = 0;  //!< cycles queued for a data slot
     std::uint64_t mshrStallCycles = 0;  //!< per-bank MSHR-full penalties
-    /**
-     * Set when the owning cache models bank contention; accumulate()
-     * ORs it so a banked set reports the queue counters iff its banks
-     * track them.  toStatSet() keys the queue stats on this flag, which
-     * keeps the exported stat surface (and thus every default bench
-     * output) identical to the pre-contention model when off.
-     */
-    bool contentionModeled = false;
 
     double hitRate() const
     {
@@ -168,10 +159,8 @@ class Cache
      * Record an in-flight miss for @p line completing at @p ready.
      * The entry occupies one MSHR until @p ready passes (pruned
      * lazily), so what the caller books here is what mshrsFull()
-     * measures: with DRAM-fed residency (HierarchyParams::
-     * dramFedLlcMshrs) the LLC banks book the channel's fill
-     * completion instant, making MSHR pressure track real memory
-     * backpressure.
+     * measures: the LLC banks book the DRAM channel's fill completion
+     * instant, making MSHR pressure track real memory backpressure.
      *
      * @param now the caller's clock when it is booking; audit mode
      *        checks the booked completion never lies in the past
@@ -208,16 +197,30 @@ class Cache
      * @return cycles queued behind earlier occupants (0 when a slot is
      * free or the model is off).
      */
-    Cycle occupyTagPort(Cycle now);
+    Cycle
+    occupyTagPort(Cycle now)
+    {
+        if (!contentionEnabled())
+            return 0;
+        return reserveSlot(tagBusyUntil, now, now, stat.tagQueueCycles);
+    }
     /**
      * Occupy a data-array slot (hit read / fill write) starting at
      * @p at on behalf of a transaction issued at @p issued (the
      * backfill ordering clock).  Callers book bandwidth in issue
      * order — @p at trails @p issued by at most a tag-grant wait;
      * booking at a far-future completion instant would turn the
-     * scalar busy horizon into a phantom busy window.
+     * scalar busy horizon into a phantom busy window.  Returns 0 when
+     * the model is off, like occupyTagPort().
      */
-    Cycle occupyDataPort(Cycle at, Cycle issued);
+    Cycle
+    occupyDataPort(Cycle at, Cycle issued)
+    {
+        if (!contentionEnabled())
+            return 0;
+        return reserveSlot(dataBusyUntil, at, issued,
+                           stat.dataQueueCycles);
+    }
     /** Record @p penalty cycles of MSHR-full stall against this bank. */
     void noteMshrStall(Cycle penalty) { stat.mshrStallCycles += penalty; }
 
@@ -235,7 +238,7 @@ class Cache
     Cycle latency() const { return params.latency; }
     const CacheParams &config() const { return params; }
     const CacheStats &stats() const { return stat; }
-    ReplacementPolicy &policy() { return *repl; }
+    ReplacementPolicy &policy() { return repl; }
 
     /** Line metadata at (set, way); for tests and monitors. */
     const CacheLine &lineAt(std::uint32_t set, std::uint32_t way) const;
@@ -266,6 +269,8 @@ class Cache
     /** The set's frames (assoc entries). */
     CacheLine *frameRow(std::uint32_t set) const;
 
+    /** Validated set count of @p params (fatal on a bad geometry). */
+    static std::uint32_t setCount(const CacheParams &params);
     Cycle reserveSlot(std::vector<Cycle> &busy_until, Cycle at,
                       Cycle issued, std::uint64_t &queue_cycles);
     /** Way of @p tag in @p set, or assoc when absent (probe array). */
@@ -305,14 +310,12 @@ class Cache
      */
     SIM_PER_WORKER std::unique_ptr<std::byte[], AlignedDelete> setStore;
     SIM_SHARED_CONST std::size_t setBytes = 0; //!< bytes per set block
-    SIM_PER_WORKER std::unique_ptr<ReplacementPolicy> repl;
-    /** Devirtualized hot-path view of *repl (same object). */
-    SIM_PER_WORKER PolicyDispatch pol;
     SIM_EPOCH_MERGED(sum) CacheStats stat;
     SIM_SHARED_CONST LlcCompanion *companion = nullptr;
     SIM_PER_WORKER Cycle qbsCycles = 0;
     SIM_PER_WORKER Tick useTick = 0;
     SIM_PER_WORKER PendingTable pending;
+    SIM_PER_WORKER ReplacementPolicy repl;
     SIM_PER_WORKER FlatLineSet oracleSeen;
     /** Per-slot busy-until cycles; sized at construction (empty when
      *  the contention model is off) so the demand path never allocates. */

@@ -18,43 +18,38 @@ SIM_STATS(Dram,
     SIM_STAT("backfills", counter),
     SIM_STAT("backfill_queued_cycles", counter),
     SIM_STAT("avg_queue_delay", rate("queued_cycles", "reads+writes")),
-    SIM_STAT_GATED("row_hits", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_misses", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_conflicts", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_accesses", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_rate", rate("row_hits", "row_accesses"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_hit_reads", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_cycles", counter, "rowModelOn"),
-    SIM_STAT_GATED("avg_row_hit_latency",
-                   rate("row_hit_lat_cycles", "row_hit_reads"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_p50", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_p95", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_hit_lat_p99", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_reads", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_cycles", counter, "rowModelOn"),
-    SIM_STAT_GATED("avg_row_miss_latency",
-                   rate("row_miss_lat_cycles", "row_miss_reads"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_p50", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_p95", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_miss_lat_p99", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_reads", counter, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_cycles", counter, "rowModelOn"),
-    SIM_STAT_GATED("avg_row_conflict_latency",
-                   rate("row_conflict_lat_cycles", "row_conflict_reads"),
-                   "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_p50", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_p95", quantile, "rowModelOn"),
-    SIM_STAT_GATED("row_conflict_lat_p99", quantile, "rowModelOn"),
-    SIM_STAT_GATED("read_lat_cycles", counter, "timingEnabled"),
-    SIM_STAT_GATED("avg_read_latency", rate("read_lat_cycles", "reads"),
-                   "timingEnabled"),
-    SIM_STAT_GATED("turnarounds", counter, "turnaroundOn"),
-    SIM_STAT_GATED("turnaround_cycles", counter, "turnaroundOn"),
-    SIM_STAT_GATED("refresh_blocked", counter, "refreshOn"),
-    SIM_STAT_GATED("refresh_stall_cycles", counter, "refreshOn"));
+    SIM_STAT("row_hits", counter),
+    SIM_STAT("row_misses", counter),
+    SIM_STAT("row_conflicts", counter),
+    SIM_STAT("row_accesses", counter),
+    SIM_STAT("row_hit_rate", rate("row_hits", "row_accesses")),
+    SIM_STAT("row_hit_reads", counter),
+    SIM_STAT("row_hit_lat_cycles", counter),
+    SIM_STAT("avg_row_hit_latency",
+             rate("row_hit_lat_cycles", "row_hit_reads")),
+    SIM_STAT("row_hit_lat_p50", quantile),
+    SIM_STAT("row_hit_lat_p95", quantile),
+    SIM_STAT("row_hit_lat_p99", quantile),
+    SIM_STAT("row_miss_reads", counter),
+    SIM_STAT("row_miss_lat_cycles", counter),
+    SIM_STAT("avg_row_miss_latency",
+             rate("row_miss_lat_cycles", "row_miss_reads")),
+    SIM_STAT("row_miss_lat_p50", quantile),
+    SIM_STAT("row_miss_lat_p95", quantile),
+    SIM_STAT("row_miss_lat_p99", quantile),
+    SIM_STAT("row_conflict_reads", counter),
+    SIM_STAT("row_conflict_lat_cycles", counter),
+    SIM_STAT("avg_row_conflict_latency",
+             rate("row_conflict_lat_cycles", "row_conflict_reads")),
+    SIM_STAT("row_conflict_lat_p50", quantile),
+    SIM_STAT("row_conflict_lat_p95", quantile),
+    SIM_STAT("row_conflict_lat_p99", quantile),
+    SIM_STAT("read_lat_cycles", counter),
+    SIM_STAT("avg_read_latency", rate("read_lat_cycles", "reads")),
+    SIM_STAT("turnarounds", counter),
+    SIM_STAT("turnaround_cycles", counter),
+    SIM_STAT("refresh_blocked", counter),
+    SIM_STAT("refresh_stall_cycles", counter));
 
 namespace
 {
@@ -299,67 +294,55 @@ Dram::stats() const
     // histogram, so this mean is queued_cycles / (reads + writes) —
     // the same identity the simulator's windowed recompute uses.
     s.add("avg_queue_delay", queueDelay.mean());
-    // Timing-leg stats export only when their model is on, so flat-
-    // latency runs keep the historical stat surface byte-for-byte
-    // (the PR-3 contentionModeled discipline).
-    if (params.rowModelOn()) {
-        double hits = static_cast<double>(rowCount[kRowHit]);
-        double misses = static_cast<double>(rowCount[kRowMiss]);
-        double conflicts = static_cast<double>(rowCount[kRowConflict]);
-        double accesses = hits + misses + conflicts;
-        s.add("row_hits", hits);
-        s.add("row_misses", misses);
-        s.add("row_conflicts", conflicts);
-        s.add("row_accesses", accesses);
-        s.add("row_hit_rate", accesses > 0 ? hits / accesses : 0.0);
-        static const char *const kLegName[3] = {"hit", "miss",
-                                                "conflict"};
-        for (int leg = 0; leg < 3; ++leg) {
-            // The "row_" prefix stays literal at every add site so
-            // the stat lint's name skeletons ("row_*_lat_cycles")
-            // can't collide with the timing-gated read_lat stats.
-            std::string p = kLegName[leg];
-            s.add("row_" + p + "_reads",
-                  static_cast<double>(legReads[leg]));
-            s.add("row_" + p + "_lat_cycles",
-                  static_cast<double>(legReadCycles[leg]));
-            // Device-leg latency per leg (queue excluded; see
-            // rowLegLatency); the windowed recompute rebuilds this
-            // from the two raw counters above.
-            s.add("avg_row_" + p + "_latency", legLatency[leg].mean());
-            // Percentile landmarks of the same distribution.  The
-            // _p50/_p95/_p99 suffix marks them as gauges for anything
-            // windowing the stat set (percentiles of a cumulative
-            // histogram cannot be differenced across snapshots).
-            QuantileSummary q = legLatency[leg].quantiles();
-            s.add("row_" + p + "_lat_p50",
-                  static_cast<double>(q.p50));
-            s.add("row_" + p + "_lat_p95",
-                  static_cast<double>(q.p95));
-            s.add("row_" + p + "_lat_p99",
-                  static_cast<double>(q.p99));
-        }
+    // Timing-leg stats: each reads 0 while its leg is off.
+    double hits = static_cast<double>(rowCount[kRowHit]);
+    double misses = static_cast<double>(rowCount[kRowMiss]);
+    double conflicts = static_cast<double>(rowCount[kRowConflict]);
+    double accesses = hits + misses + conflicts;
+    s.add("row_hits", hits);
+    s.add("row_misses", misses);
+    s.add("row_conflicts", conflicts);
+    s.add("row_accesses", accesses);
+    s.add("row_hit_rate", accesses > 0 ? hits / accesses : 0.0);
+    static const char *const kLegName[3] = {"hit", "miss",
+                                            "conflict"};
+    for (int leg = 0; leg < 3; ++leg) {
+        // The "row_" prefix stays literal at every add site so
+        // the stat lint's name skeletons ("row_*_lat_cycles")
+        // can't collide with the read_lat stats.
+        std::string p = kLegName[leg];
+        s.add("row_" + p + "_reads",
+              static_cast<double>(legReads[leg]));
+        s.add("row_" + p + "_lat_cycles",
+              static_cast<double>(legReadCycles[leg]));
+        // Device-leg latency per leg (queue excluded; see
+        // rowLegLatency); the windowed recompute rebuilds this
+        // from the two raw counters above.
+        s.add("avg_row_" + p + "_latency", legLatency[leg].mean());
+        // Percentile landmarks of the same distribution.  The
+        // _p50/_p95/_p99 suffix marks them as gauges for anything
+        // windowing the stat set (percentiles of a cumulative
+        // histogram cannot be differenced across snapshots).
+        QuantileSummary q = legLatency[leg].quantiles();
+        s.add("row_" + p + "_lat_p50",
+              static_cast<double>(q.p50));
+        s.add("row_" + p + "_lat_p95",
+              static_cast<double>(q.p95));
+        s.add("row_" + p + "_lat_p99",
+              static_cast<double>(q.p99));
     }
-    if (params.timingEnabled()) {
-        // Full read latency (queue + device): the end-to-end view the
-        // per-leg device books deliberately exclude queue from.
-        s.add("read_lat_cycles", static_cast<double>(readLatCycles));
-        s.add("avg_read_latency",
-              nReads > 0
-                  ? static_cast<double>(readLatCycles) /
-                        static_cast<double>(nReads)
-                  : 0.0);
-    }
-    if (params.turnaroundOn()) {
-        s.add("turnarounds", static_cast<double>(nTurnarounds));
-        s.add("turnaround_cycles",
-              static_cast<double>(turnaroundStallCycles));
-    }
-    if (params.refreshOn()) {
-        s.add("refresh_blocked", static_cast<double>(nRefreshBlocked));
-        s.add("refresh_stall_cycles",
-              static_cast<double>(refreshStallCycles));
-    }
+    // Full read latency (queue + device): the end-to-end view the
+    // per-leg device books deliberately exclude queue from.
+    s.add("read_lat_cycles", static_cast<double>(readLatCycles));
+    s.add("avg_read_latency",
+          nReads > 0
+              ? static_cast<double>(readLatCycles) /
+                    static_cast<double>(nReads)
+              : 0.0);
+    s.add("turnarounds", static_cast<double>(nTurnarounds));
+    s.add("turnaround_cycles", static_cast<double>(turnaroundStallCycles));
+    s.add("refresh_blocked", static_cast<double>(nRefreshBlocked));
+    s.add("refresh_stall_cycles", static_cast<double>(refreshStallCycles));
     return s;
 }
 

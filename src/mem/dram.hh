@@ -85,12 +85,6 @@ struct DramParams
 
     /** Row-buffer split active. */
     bool rowModelOn() const { return rowBits > 0; }
-    /** Any timing leg beyond the flat latency + FCFS queue active. */
-    bool
-    timingEnabled() const
-    {
-        return rowModelOn() || turnaroundOn() || refreshOn();
-    }
     /** Turnaround penalty active. */
     bool turnaroundOn() const { return turnaroundCycles > 0; }
     /** Refresh blocking active (needs both interval and penalty). */
@@ -152,13 +146,6 @@ class Dram
      * but the returned latency is 0 so no core stalls on them.
      */
     DramAccess request(Addr line_addr, bool is_write, Cycle now);
-
-    /** Compatibility wrapper: latency leg of request(). */
-    Cycle
-    access(Addr line_addr, bool is_write, Cycle now)
-    {
-        return request(line_addr, is_write, now).latency;
-    }
 
     /**
      * Channel servicing @p line_addr: hashed so structured strides

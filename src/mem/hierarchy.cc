@@ -219,13 +219,10 @@ void
 MemoryHierarchy::stageLlc(Transaction &txn)
 {
     Cache &bank = llcSet->bankFor(txn.lineAddr);
-    Cycle port_wait = 0;
-    if (bank.contentionEnabled()) {
-        // Bank port arbitration: the probe occupies a tag slot of the
-        // owning bank; a transaction arriving while every slot is busy
-        // queues, and the wait lands in its load-to-use latency.
-        port_wait = bank.occupyTagPort(txn.issued);
-    }
+    // Bank port arbitration: the probe occupies a tag slot of the
+    // owning bank; a transaction arriving while every slot is busy
+    // queues, and the wait lands in its load-to-use latency.
+    Cycle port_wait = bank.occupyTagPort(txn.issued);
 
     bool hit = bank.access(txn.req);
     txn.llcAccessed = true;
@@ -236,16 +233,14 @@ MemoryHierarchy::stageLlc(Transaction &txn)
     Cycle fill_ready = 0;
     if (hit) {
         fill_ready = bank.pendingReady(txn.lineAddr, txn.issued);
-        if (bank.contentionEnabled()) {
-            // The hit consumes one data-array slot, starting once its
-            // tag grant lands.  Like the DRAM channel model, bandwidth
-            // is booked in issue order — never at a future completion
-            // instant, which would make the scalar busy horizon read
-            // as busy across the whole gap and charge phantom waits to
-            // intervening accesses.
-            port_wait += bank.occupyDataPort(txn.issued + port_wait,
-                                             txn.issued);
-        }
+        // The hit consumes one data-array slot, starting once its tag
+        // grant lands.  Like the DRAM channel model, bandwidth is
+        // booked in issue order — never at a future completion
+        // instant, which would make the scalar busy horizon read as
+        // busy across the whole gap and charge phantom waits to
+        // intervening accesses.
+        port_wait += bank.occupyDataPort(txn.issued + port_wait,
+                                         txn.issued);
     } else if (bank.contentionEnabled() && !txn.req.isPrefetch &&
                bank.mshrsFull(txn.issued)) {
         // Only misses allocate an MSHR, and pressure is per bank — the
@@ -312,30 +307,23 @@ MemoryHierarchy::stageDramFill(Transaction &txn)
 
     Eviction ev = llcSet->insert(txn.req, false, txn.critical);
     if (ev.valid && ev.dirty)
-        dramModel->access(ev.lineAddr, true, txn.issued);
-    if (llcSet->contentionEnabled()) {
-        // The fill write consumes one data-array slot.  Bandwidth is
-        // booked in issue order (the DRAM model posts writebacks at
-        // issue time the same way): booking at the far-future arrival
-        // instant would turn the scalar busy horizon into a phantom
-        // busy window over the whole DRAM latency.
-        txn.queueCycles += llcSet->bankFor(txn.lineAddr)
-                               .occupyDataPort(txn.issued, txn.issued);
-    }
+        dramModel->request(ev.lineAddr, true, txn.issued);
+    // The fill write consumes one data-array slot.  Bandwidth is booked
+    // in issue order (the DRAM model posts writebacks at issue time the
+    // same way): booking at the far-future arrival instant would turn
+    // the scalar busy horizon into a phantom busy window over the whole
+    // DRAM latency.
+    txn.queueCycles += llcSet->bankFor(txn.lineAddr)
+                           .occupyDataPort(txn.issued, txn.issued);
     if (!(llcSet->oracleFiltersInstr() && txn.req.isInstr)) {
-        // DRAM-fed residency keys the bank's MSHR entry on the channel:
-        // the fill's data leaves DRAM at fill.completesAt — never
-        // earlier than the booked service-slot end, even for backfills
-        // — and lands one array latency later, so channel backpressure
-        // (and nothing else) stretches occupancy.  The legacy book sums
-        // every request-path leg instead, which also folds tag-port
-        // waits and MSHR penalties into residency; the two are
-        // identical while the bank contention model charges no such
-        // legs and no fill is backfilled.
-        Cycle ready = params.dramFedLlcMshrs
-                          ? txn.dramCompletesAt + llcSet->latency()
-                          : txn.issued + txn.latency();
-        llcSet->addPending(txn.lineAddr, ready, txn.issued);
+        // The bank's MSHR entry is keyed on the channel: the fill's
+        // data leaves DRAM at completesAt — never earlier than the
+        // booked service-slot end, even for backfills — and lands one
+        // array latency later, so channel backpressure (and no
+        // request-path leg such as a port wait) stretches occupancy.
+        llcSet->addPending(txn.lineAddr,
+                           txn.dramCompletesAt + llcSet->latency(),
+                           txn.issued);
     }
     txn.llcCycles += llcSet->drainQbsCycles(txn.lineAddr);
 }
@@ -426,33 +414,24 @@ MemoryHierarchy::llcOnlyPrefetch(Addr line_addr, CoreId core, Cycle now)
     pf.core = core;
     pf.paddr = line_addr;
     pf.isPrefetch = true;
+    Cache &bank = llcSet->bankFor(lineAlign(line_addr));
     // The probe is a real tag lookup: it competes for the bank's tag
     // slots even though nothing waits on a prefetch.
-    if (llcSet->contentionEnabled())
-        llcSet->bankFor(lineAlign(line_addr)).occupyTagPort(now);
+    bank.occupyTagPort(now);
     if (llcSet->access(pf))
         return;
     DramAccess fill = dramModel->request(lineAlign(line_addr), false,
                                          now);
     Eviction ev = llcSet->insert(pf);
     if (ev.valid && ev.dirty)
-        dramModel->access(ev.lineAddr, true, now);
-    if (llcSet->contentionEnabled()) {
-        // Prefetch fills consume data-array bandwidth like demand
-        // fills (booked in issue order); nobody waits on them, so the
-        // delay charges no transaction.
-        llcSet->bankFor(lineAlign(line_addr)).occupyDataPort(now, now);
-    }
-    // Same discipline as demand fills: the legacy book is the
-    // request-path latency sum, the DRAM-fed book is the channel's
-    // booked completion.  The two differ for backfilled fills, where
-    // completesAt reports the real slot end — which can sit far beyond
-    // now + latency (queue only counts the backlog past the arrival
-    // high-water mark).
-    Cycle fill_done = params.dramFedLlcMshrs ? fill.completesAt
-                                             : now + fill.latency;
+        dramModel->request(ev.lineAddr, true, now);
+    // Prefetch fills consume data-array bandwidth like demand fills
+    // (booked in issue order); nobody waits on them, so the delay
+    // charges no transaction.
+    bank.occupyDataPort(now, now);
+    // Same MSHR book as demand fills: the channel's booked completion.
     llcSet->addPending(lineAlign(line_addr),
-                       fill_done + llcSet->latency(), now);
+                       fill.completesAt + llcSet->latency(), now);
 }
 
 void
@@ -463,11 +442,9 @@ MemoryHierarchy::writebackToLlc(const Eviction &ev, CoreId core,
     // other probe and write the data array whether they merge into a
     // resident line or allocate below; the wait delays no demand
     // transaction.
-    if (llcSet->contentionEnabled()) {
-        Cache &bank = llcSet->bankFor(lineAlign(ev.lineAddr));
-        bank.occupyTagPort(now);
-        bank.occupyDataPort(now, now);
-    }
+    Cache &bank = llcSet->bankFor(lineAlign(ev.lineAddr));
+    bank.occupyTagPort(now);
+    bank.occupyDataPort(now, now);
     if (llcSet->contains(ev.lineAddr)) {
         llcSet->setDirty(ev.lineAddr);
         return;
@@ -481,7 +458,7 @@ MemoryHierarchy::writebackToLlc(const Eviction &ev, CoreId core,
     wb.isPrefetch = true;
     Eviction displaced = llcSet->insert(wb, /*dirty=*/true);
     if (displaced.valid && displaced.dirty)
-        dramModel->access(displaced.lineAddr, true, now);
+        dramModel->request(displaced.lineAddr, true, now);
 }
 
 void

@@ -67,17 +67,6 @@ struct HierarchyParams
      */
     Cycle llcBankServiceCycles = 0;
     std::uint32_t llcBankPorts = 1;
-    /**
-     * DRAM-fed LLC MSHR occupancy: book each miss's pending-fill entry
-     * at the owning bank until the DRAM channel's fill completion
-     * instant plus the array write, instead of the legacy sum of every
-     * request-path latency leg (which also folds in tag-port waits and
-     * MSHR penalties).  Off (default) keeps the legacy book; the two
-     * differ only when the bank contention model charges such legs or
-     * a fill is served on the DRAM backfill path (whose completesAt is
-     * the booked slot end, not the shorter request-path sum).
-     */
-    bool dramFedLlcMshrs = false;
     /** Tracked lines in the bounded instruction-criticality table. */
     std::uint32_t instrCritEntries = 32768;
 };

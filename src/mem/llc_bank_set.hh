@@ -88,9 +88,9 @@ class LlcBankSet
      * full-MSHR checks through here: the per-bank books are a fraction
      * of the whole-LLC budget, so consulting any single fixed bank
      * (e.g. bank 0) under- or over-reports pressure when banks > 1.
-     * Entry lifetimes come from addPending — with DRAM-fed residency
-     * they end at the channel's fill completion instant, so a
-     * congested memory system keeps this true for longer.
+     * Entry lifetimes come from addPending and end at the DRAM
+     * channel's fill completion instant, so a congested memory system
+     * keeps this true for longer.
      */
     bool mshrsFull(Addr line_addr, Cycle now)
     {

@@ -7,7 +7,7 @@ namespace garibaldi
 
 HawkeyePolicy::HawkeyePolicy(std::uint32_t num_sets, std::uint32_t assoc_,
                              const PolicyParams &params)
-    : ReplacementPolicy(num_sets, assoc_),
+    : PolicyBase(assoc_),
       sampleShift(params.sampleShift),
       predictor(kPredictorSize, SatCounter(3, 4)),
       lines(std::size_t{num_sets} * assoc_),

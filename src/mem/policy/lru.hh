@@ -8,25 +8,24 @@
 
 #include <vector>
 
-#include "mem/policy/replacement.hh"
+#include "mem/policy/policy_base.hh"
 
 namespace garibaldi
 {
 
 /** Exact LRU via monotonic per-cache ticks. */
-class LruPolicy final : public ReplacementPolicy
+class LruPolicy final : public PolicyBase
 {
   public:
     LruPolicy(std::uint32_t num_sets, std::uint32_t assoc);
 
     void onHit(std::uint32_t set, std::uint32_t way,
-               const MemAccess &acc) override;
-    std::uint32_t victim(std::uint32_t set, const MemAccess &acc) override;
+               const MemAccess &acc);
+    std::uint32_t victim(std::uint32_t set, const MemAccess &acc);
     void onInsert(std::uint32_t set, std::uint32_t way,
-                  const MemAccess &acc) override;
-    void promote(std::uint32_t set, std::uint32_t way) override;
-    void onEvict(std::uint32_t set, std::uint32_t way) override;
-    const char *name() const override { return "lru"; }
+                  const MemAccess &acc);
+    void promote(std::uint32_t set, std::uint32_t way);
+    void onEvict(std::uint32_t set, std::uint32_t way);
 
   private:
     Tick &stamp(std::uint32_t set, std::uint32_t way)

@@ -12,7 +12,7 @@ namespace garibaldi
 MockingjayPolicy::MockingjayPolicy(std::uint32_t num_sets,
                                    std::uint32_t assoc_,
                                    const PolicyParams &params)
-    : ReplacementPolicy(num_sets, assoc_),
+    : PolicyBase(assoc_),
       sampleShift(params.sampleShift),
       historyLen(params.historyAssocMult * assoc_),
       maxEtr((1 << (params.counterBits - 1)) - 1),

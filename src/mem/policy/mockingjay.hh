@@ -14,28 +14,27 @@
 #include <vector>
 
 #include "mem/flat_tables.hh"
-#include "mem/policy/replacement.hh"
+#include "mem/policy/policy_base.hh"
 
 namespace garibaldi
 {
 
 /** Mockingjay replacement. */
-class MockingjayPolicy final : public ReplacementPolicy
+class MockingjayPolicy final : public PolicyBase
 {
   public:
     MockingjayPolicy(std::uint32_t num_sets, std::uint32_t assoc,
                      const PolicyParams &params);
 
     void onAccess(std::uint32_t set, const MemAccess &acc,
-                  bool hit) override;
+                  bool hit);
     void onHit(std::uint32_t set, std::uint32_t way,
-               const MemAccess &acc) override;
-    std::uint32_t victim(std::uint32_t set, const MemAccess &acc) override;
+               const MemAccess &acc);
+    std::uint32_t victim(std::uint32_t set, const MemAccess &acc);
     void onInsert(std::uint32_t set, std::uint32_t way,
-                  const MemAccess &acc) override;
-    void promote(std::uint32_t set, std::uint32_t way) override;
-    void onEvict(std::uint32_t set, std::uint32_t way) override;
-    const char *name() const override { return "mockingjay"; }
+                  const MemAccess &acc);
+    void promote(std::uint32_t set, std::uint32_t way);
+    void onEvict(std::uint32_t set, std::uint32_t way);
 
     /** Predicted reuse distance for a PC (set-access units); for tests. */
     std::uint32_t predictedRd(Addr pc) const;

@@ -1,6 +1,7 @@
 /**
  * @file
- * Replacement policy interface and factory.
+ * Replacement policy selector, the closed policy type a cache owns, and
+ * its factory.
  *
  * The interface is intentionally richer than gem5's: PC-indexed
  * predictive policies (SHiP, Hawkeye, Mockingjay) observe every access
@@ -15,14 +16,21 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <variant>
 
-#include "common/types.hh"
-#include "mem/request.hh"
+#include "mem/policy/hawkeye.hh"
+#include "mem/policy/lru.hh"
+#include "mem/policy/mockingjay.hh"
+#include "mem/policy/policy_base.hh"
+#include "mem/policy/random.hh"
+#include "mem/policy/rrip.hh"
+#include "mem/policy/ship.hh"
 
 namespace garibaldi
 {
 
-/** Replacement policy selector. */
+/** Replacement policy selector (order matches ReplacementPolicy's
+ *  alternatives). */
 enum class PolicyKind : std::uint8_t
 {
     LRU = 0,
@@ -40,87 +48,75 @@ const char *policyKindName(PolicyKind kind);
 /** Parse a policy name ("lru", "drrip", "mockingjay", ...). */
 PolicyKind parsePolicyKind(const std::string &name);
 
-/** Tunables shared by the predictive policies. */
-struct PolicyParams
-{
-    /**
-     * RRPV / ETR counter width in bits.  3 matches Mockingjay's signed
-     * ETR range ([-4, 3]) and gives SRRIP-family policies an 8-level
-     * RRPV — the width every archived trace and golden was produced
-     * with.  (An earlier comment claimed the paper's Table 3 prescribes
-     * 5; nothing in the methodology we reproduce bears that out, and
-     * the default was never 5.)  Pinned by PolicyParamsDefaultsPinned:
-     * changing it invalidates every policy trace hash.
-     */
-    unsigned counterBits = 3;
-    /** Sample one of every 2^sampleShift sets for history-based policies. */
-    unsigned sampleShift = 3;
-    /** History length as a multiple of associativity (paper: 8x). */
-    unsigned historyAssocMult = 8;
-    /** Seed for randomized policies. */
-    std::uint64_t seed = 1;
-};
-
 /**
- * Abstract per-cache replacement policy.  The cache calls:
- *  - onAccess() for every demand lookup (training hook, before outcome),
- *  - onHit() when the lookup hits,
- *  - victim() when an insertion needs a frame and no way is invalid,
- *  - onInsert() after the new line is placed,
- *  - promote() to reset a line's eviction priority to the lowest
- *    (the QBS protection action),
- *  - onEvict() when a line leaves the cache.
+ * One cache's replacement policy: a closed type over the seven
+ * PolicyKinds.  Every hook visits the variant — a switch on the kind —
+ * so the call lands on the concrete class's own plain (inlinable)
+ * member; there is no vtable.  DRRIP and SHiP are alternatives of their
+ * own, so the members they redefine shadow SRRIP's exactly as the
+ * static type of each arm says.  Hook semantics are listed on
+ * PolicyBase.
  */
 class ReplacementPolicy
 {
   public:
-    /**
-     * @param num_sets number of sets in the cache
-     * @param assoc associativity
-     */
-    ReplacementPolicy(std::uint32_t num_sets, std::uint32_t assoc_)
-        : numSets(num_sets), assoc(assoc_)
-    {}
+    /** Instantiate @p kind for the given geometry. */
+    ReplacementPolicy(PolicyKind kind, std::uint32_t num_sets,
+                      std::uint32_t assoc, const PolicyParams &params = {});
 
-    virtual ~ReplacementPolicy() = default;
-
-    /** Training hook invoked for every demand lookup. */
-    virtual void onAccess(std::uint32_t set, const MemAccess &acc,
-                          bool hit)
+    void
+    onAccess(std::uint32_t set, const MemAccess &acc, bool hit)
     {
-        (void)set;
-        (void)acc;
-        (void)hit;
+        std::visit([&](auto &p) { p.onAccess(set, acc, hit); }, impl);
     }
 
-    /** The lookup hit way @p way. */
-    virtual void onHit(std::uint32_t set, std::uint32_t way,
-                       const MemAccess &acc) = 0;
-
-    /** Choose the eviction victim way in @p set (all ways valid). */
-    virtual std::uint32_t victim(std::uint32_t set,
-                                 const MemAccess &acc) = 0;
-
-    /** A new line was inserted into (set, way). */
-    virtual void onInsert(std::uint32_t set, std::uint32_t way,
-                          const MemAccess &acc) = 0;
-
-    /** Reset (set, way) to the lowest eviction priority (QBS action). */
-    virtual void promote(std::uint32_t set, std::uint32_t way) = 0;
-
-    /** A line was evicted or invalidated from (set, way). */
-    virtual void onEvict(std::uint32_t set, std::uint32_t way)
+    void
+    onHit(std::uint32_t set, std::uint32_t way, const MemAccess &acc)
     {
-        (void)set;
-        (void)way;
+        std::visit([&](auto &p) { p.onHit(set, way, acc); }, impl);
     }
 
-    /** Policy name for reports. */
-    virtual const char *name() const = 0;
+    std::uint32_t
+    victim(std::uint32_t set, const MemAccess &acc)
+    {
+        return std::visit([&](auto &p) { return p.victim(set, acc); },
+                          impl);
+    }
 
-  protected:
-    std::uint32_t numSets;
-    std::uint32_t assoc;
+    void
+    onInsert(std::uint32_t set, std::uint32_t way, const MemAccess &acc)
+    {
+        std::visit([&](auto &p) { p.onInsert(set, way, acc); }, impl);
+    }
+
+    void
+    promote(std::uint32_t set, std::uint32_t way)
+    {
+        std::visit([&](auto &p) { p.promote(set, way); }, impl);
+    }
+
+    void
+    onEvict(std::uint32_t set, std::uint32_t way)
+    {
+        std::visit([&](auto &p) { p.onEvict(set, way); }, impl);
+    }
+
+    /** Policy name for reports (the alternatives follow PolicyKind). */
+    const char *
+    name() const
+    {
+        return policyKindName(static_cast<PolicyKind>(impl.index()));
+    }
+
+  private:
+    using Impl = std::variant<LruPolicy, RandomPolicy, SrripPolicy,
+                              DrripPolicy, ShipPolicy, HawkeyePolicy,
+                              MockingjayPolicy>;
+
+    static Impl build(PolicyKind kind, std::uint32_t num_sets,
+                      std::uint32_t assoc, const PolicyParams &params);
+
+    Impl impl;
 };
 
 /** Instantiate a policy for the given geometry. */

@@ -7,7 +7,7 @@ namespace garibaldi
 
 SrripPolicy::SrripPolicy(std::uint32_t num_sets, std::uint32_t assoc_,
                          unsigned counter_bits)
-    : ReplacementPolicy(num_sets, assoc_),
+    : PolicyBase(assoc_),
       maxRrpv((1u << counter_bits) - 1),
       rrpv(std::size_t{num_sets} * assoc_, (1u << counter_bits) - 1)
 {

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "mem/policy/replacement.hh"
+#include "mem/policy/policy_base.hh"
 
 namespace garibaldi
 {
@@ -20,19 +20,18 @@ namespace garibaldi
  * to "near-immediate" (0) on hit, evict the first "distant" (max) line,
  * aging the whole set when none is distant.
  */
-class SrripPolicy : public ReplacementPolicy
+class SrripPolicy : public PolicyBase
 {
   public:
     SrripPolicy(std::uint32_t num_sets, std::uint32_t assoc,
                 unsigned counter_bits);
 
     void onHit(std::uint32_t set, std::uint32_t way,
-               const MemAccess &acc) override;
-    std::uint32_t victim(std::uint32_t set, const MemAccess &acc) override;
+               const MemAccess &acc);
+    std::uint32_t victim(std::uint32_t set, const MemAccess &acc);
     void onInsert(std::uint32_t set, std::uint32_t way,
-                  const MemAccess &acc) override;
-    void promote(std::uint32_t set, std::uint32_t way) override;
-    const char *name() const override { return "srrip"; }
+                  const MemAccess &acc);
+    void promote(std::uint32_t set, std::uint32_t way);
 
     /** RRPV of (set, way); exposed for tests. */
     unsigned
@@ -65,10 +64,9 @@ class DrripPolicy final : public SrripPolicy
                 unsigned counter_bits, std::uint64_t seed);
 
     void onAccess(std::uint32_t set, const MemAccess &acc,
-                  bool hit) override;
+                  bool hit);
     void onInsert(std::uint32_t set, std::uint32_t way,
-                  const MemAccess &acc) override;
-    const char *name() const override { return "drrip"; }
+                  const MemAccess &acc);
 
     /** Current PSEL value, exposed for the dueling convergence test. */
     int pselValue() const { return psel; }

@@ -25,11 +25,10 @@ class ShipPolicy final : public SrripPolicy
                unsigned counter_bits);
 
     void onHit(std::uint32_t set, std::uint32_t way,
-               const MemAccess &acc) override;
+               const MemAccess &acc);
     void onInsert(std::uint32_t set, std::uint32_t way,
-                  const MemAccess &acc) override;
-    void onEvict(std::uint32_t set, std::uint32_t way) override;
-    const char *name() const override { return "ship"; }
+                  const MemAccess &acc);
+    void onEvict(std::uint32_t set, std::uint32_t way);
 
     /** SHCT counter value for a PC, exposed for tests. */
     unsigned shctOf(Addr pc) const { return shct[signature(pc)].value(); }

@@ -49,10 +49,10 @@ struct Transaction
 
     /**
      * Instant the DRAM fill completes on its channel (0 when the
-     * transaction never reached memory).  With dramFedLlcMshrs on,
-     * the owning LLC bank's MSHR entry is held until this instant
-     * (plus the fill's array write), so channel backpressure — not a
-     * request-path latency sum — sets MSHR residency.
+     * transaction never reached memory).  The owning LLC bank's MSHR
+     * entry is held until this instant (plus the fill's array write),
+     * so channel backpressure — not a request-path latency sum — sets
+     * MSHR residency.
      */
     Cycle dramCompletesAt = 0;
 

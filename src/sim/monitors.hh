@@ -150,64 +150,6 @@ class PairingMonitor : public LlcEventListener
     SIM_PER_WORKER FlatLineMap<SharerEntry> dataSharers; // addr-sharded
 };
 
-/**
- * Per-bank demand-traffic / queuing profile of the banked LLC (the
- * contention-model companion): attributes each demand access to its
- * bank with the same line-number interleave mapping the LlcBankSet
- * uses, and records the bank-arbitration delay the transaction accrued
- * by probe time (tag wait, plus data-array wait on hits; the fill-side
- * wait of misses lands after the fan-out and is reported by the
- * hierarchy's llc.queue_cycles stat instead).
- */
-class BankQueueMonitor : public LlcEventListener
-{
-  public:
-    /**
-     * @param banks LLC bank count (power of two)
-     * @param interleave_shift line-number bit where bank selection
-     *        starts (must match the observed LlcBankSet)
-     */
-    BankQueueMonitor(std::uint32_t banks,
-                     std::uint32_t interleave_shift);
-
-    /** Mapping taken from the hierarchy's own LLC banking knobs — the
-     *  safe constructor, immune to knob/monitor divergence. */
-    explicit BankQueueMonitor(const HierarchyParams &params)
-        : BankQueueMonitor(params.llcBanks,
-                           params.llcBankInterleaveShift)
-    {
-    }
-
-    void onLlcAccess(const Transaction &txn, bool hit) override;
-
-    /** Bank servicing @p line_addr (mirrors LlcBankSet::bankOf). */
-    std::uint32_t bankOf(Addr line_addr) const;
-
-    std::uint32_t numBanks() const
-    {
-        return static_cast<std::uint32_t>(banks.size());
-    }
-    /** Max-over-mean per-bank demand accesses (1.0 = perfectly even). */
-    double accessImbalance() const;
-    /** Mean probe-time queuing delay per demand access, in cycles. */
-    double meanQueueDelay() const;
-
-    StatSet stats() const;
-
-  private:
-    struct BankCounters
-    {
-        std::uint64_t accesses = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t queuedAccesses = 0;
-        std::uint64_t queueCycles = 0;
-    };
-
-    SIM_PER_WORKER std::vector<BankCounters> banks; // bank-sharded
-    SIM_SHARED_CONST std::uint32_t interleaveShift;
-    SIM_SHARED_CONST Addr bankMask;
-};
-
 } // namespace garibaldi
 
 #endif // GARIBALDI_SIM_MONITORS_HH

@@ -108,8 +108,14 @@ Simulator::runWindow(std::uint64_t instructions_per_core,
 
     // The popped core runs until it passes the next-earliest core's
     // clock (plus a small hysteresis that amortizes heap traffic).
-    // This keeps cross-core skew bounded by one instruction's stall,
-    // which the DRAM bandwidth model needs for sane queueing.
+    // While every core still has quota this keeps cross-core skew
+    // bounded by one instruction's stall, which the DRAM bandwidth
+    // model needs for sane queueing.  The exception is a window's
+    // end: a core whose quota runs out leaves the heap, and the rest
+    // run on alone until theirs do, so at the boundary core clocks
+    // spread far past the hysteresis (about 2.5% of the cycles of a
+    // 4-core lbm run) and the finished cores contend for nothing in
+    // that tail.
     constexpr Cycle kHysteresis = 32;
     // Earliest clock among cores whose quota for this window ran out:
     // they resume from it in the next window.

@@ -48,7 +48,6 @@ SystemConfig::hierarchyParams() const
     h.llcBankPorts = llcBankPorts;
 
     h.dram = dram;
-    h.dramFedLlcMshrs = dramFedLlcMshrs;
     h.l1dNextLinePrefetcher = l1dNextLinePrefetcher;
     h.l2GhbPrefetcher = l2GhbPrefetcher;
     h.l1iIspyPrefetcher = l1iIspyPrefetcher;
@@ -71,7 +70,7 @@ SystemConfig::summary() const
     // headers stay untouched.
     DramParams dflt{};
     if (dram.channels != dflt.channels ||
-        dram.channelPorts != dflt.channelPorts || dramFedLlcMshrs ||
+        dram.channelPorts != dflt.channelPorts ||
         dram.rowModelOn() || dram.turnaroundOn() ||
         dram.refreshIntervalCycles > 0) {
         os << " dram(ch=" << dram.channels << ",ports="
@@ -83,8 +82,6 @@ SystemConfig::summary() const
         if (dram.refreshIntervalCycles > 0)
             os << ",refresh=" << dram.refreshIntervalCycles << "/"
                << dram.refreshPenaltyCycles;
-        if (dramFedLlcMshrs)
-            os << ",fed-mshr";
         os << ")";
     }
     if (garibaldiEnabled)

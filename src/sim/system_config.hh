@@ -95,14 +95,6 @@ struct SystemConfig
      * output byte-identical to the flat-latency model.
      */
     DramParams dram{};
-    /**
-     * Hold each LLC miss's bank MSHR entry until the DRAM channel's
-     * fill completion instant (plus the array write) instead of the
-     * legacy request-path latency sum, so memory backpressure sets
-     * MSHR residency.  Default off = legacy book (byte-identical
-     * whenever the bank contention model is off).
-     */
-    bool dramFedLlcMshrs = false;
 
     // Prefetchers (Table 1: I-SPY at L1I, next-line L1D, GHB L2).
     bool l1dNextLinePrefetcher = true;

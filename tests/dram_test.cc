@@ -56,7 +56,7 @@ TEST(Dram, IdleReadPaysBaseLatency)
 {
     DramParams p;
     Dram d(p);
-    EXPECT_EQ(d.access(0x1000, false, 1000), p.baseLatency);
+    EXPECT_EQ(d.request(0x1000, false, 1000).latency, p.baseLatency);
 }
 
 TEST(Dram, FcfsQueueMath)
@@ -65,7 +65,8 @@ TEST(Dram, FcfsQueueMath)
     Dram d(p);
     // The i-th same-cycle arrival waits behind i earlier transfers.
     for (Addr i = 0; i < 8; ++i)
-        EXPECT_EQ(d.access(line(i), false, 100), p.baseLatency + i * 4);
+        EXPECT_EQ(d.request(line(i), false, 100).latency,
+                  p.baseLatency + i * 4);
     EXPECT_EQ(d.stats().get("queued_cycles"),
               4.0 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7));
 }
@@ -74,20 +75,20 @@ TEST(Dram, PostedWritesReturnZeroButConsumeBandwidth)
 {
     DramParams p = oneChannel();
     Dram d(p);
-    EXPECT_EQ(d.access(line(1), true, 100), 0u);
+    EXPECT_EQ(d.request(line(1), true, 100).latency, 0u);
     EXPECT_EQ(d.writes(), 1u);
     // The posted write occupied the wire: a same-cycle read queues
     // behind it.
-    EXPECT_EQ(d.access(line(2), false, 100), p.baseLatency + 4);
+    EXPECT_EQ(d.request(line(2), false, 100).latency, p.baseLatency + 4);
 }
 
 TEST(Dram, BandwidthRecoversAfterGap)
 {
     DramParams p = oneChannel();
     Dram d(p);
-    d.access(line(0), false, 100);
-    d.access(line(1), false, 100);
-    EXPECT_EQ(d.access(line(2), false, 100000), p.baseLatency);
+    d.request(line(0), false, 100);
+    d.request(line(1), false, 100);
+    EXPECT_EQ(d.request(line(2), false, 100000).latency, p.baseLatency);
 }
 
 // --------------------------------------------------------------------
@@ -103,7 +104,8 @@ TEST(Dram, SameCycleBurstNeverBackfills)
     DramParams p = oneChannel();
     Dram d(p);
     for (Addr i = 0; i < 40; ++i)
-        EXPECT_EQ(d.access(line(i), false, 100), p.baseLatency + i * 4);
+        EXPECT_EQ(d.request(line(i), false, 100).latency,
+                  p.baseLatency + i * 4);
     EXPECT_EQ(d.stats().get("backfills"), 0.0);
 }
 
@@ -113,7 +115,7 @@ TEST(Dram, SaturatedBacklogChargesStragglers)
     Dram d(p);
     // 30 transfers at t=1000 book the channel until 1000 + 120.
     for (Addr i = 0; i < 30; ++i)
-        d.access(line(i), false, 1000);
+        d.request(line(i), false, 1000);
     // A straggler from the bounded-skew past backfills — but the
     // channel was saturated back then too, so it pays the backlog
     // booked beyond the arrival high-water mark instead of riding
@@ -130,7 +132,7 @@ TEST(Dram, StragglerSharesResidualWireTime)
     DramParams p = oneChannel();
     Dram d(p);
     // One transfer at t=10000 commits the wire to 10004.
-    d.access(line(0), false, 10000);
+    d.request(line(0), false, 10000);
     // A straggler overlaps it: not charged the 9900-cycle phantom gap
     // (the arrival key, not the busy horizon, decides), but the wire
     // only fits one transfer at a time, so it pays the residual
@@ -144,11 +146,11 @@ TEST(Dram, BackfillConsumesBandwidth)
 {
     DramParams p = oneChannel();
     Dram d(p);
-    d.access(line(0), false, 10000); // slot busy until 10004
-    d.access(line(1), false, 100);   // straggler: slot now 10008
+    d.request(line(0), false, 10000); // slot busy until 10004
+    d.request(line(1), false, 100);   // straggler: slot now 10008
     // The straggler's transfer was not free: an in-order arrival
     // behind it waits for both.
-    EXPECT_EQ(d.access(line(2), false, 10000), p.baseLatency + 8);
+    EXPECT_EQ(d.request(line(2), false, 10000).latency, p.baseLatency + 8);
 }
 
 // --------------------------------------------------------------------
@@ -159,17 +161,17 @@ TEST(Dram, MultiSlotChannelOverlapsTransfers)
 {
     DramParams p = oneChannel(4, 2);
     Dram d(p);
-    EXPECT_EQ(d.access(line(0), false, 100), p.baseLatency);
-    EXPECT_EQ(d.access(line(1), false, 100), p.baseLatency);
+    EXPECT_EQ(d.request(line(0), false, 100).latency, p.baseLatency);
+    EXPECT_EQ(d.request(line(1), false, 100).latency, p.baseLatency);
     // Third same-cycle transfer waits for the earliest slot.
-    EXPECT_EQ(d.access(line(2), false, 100), p.baseLatency + 4);
+    EXPECT_EQ(d.request(line(2), false, 100).latency, p.baseLatency + 4);
 }
 
 TEST(Dram, BackfillUsesFreeSlotCapacity)
 {
     DramParams p = oneChannel(4, 2);
     Dram d(p);
-    d.access(line(0), false, 10000); // slot 0 busy until 10004
+    d.request(line(0), false, 10000); // slot 0 busy until 10004
     // The straggler finds slot 1 idle behind the high-water mark: the
     // channel genuinely had capacity back then, so no queue at all.
     DramAccess r = d.request(line(1), false, 100);
@@ -186,7 +188,7 @@ TEST(Dram, BackfillCompletesAtIsBookedSlotEnd)
 {
     DramParams p = oneChannel();
     Dram d(p);
-    d.access(line(0), false, 10000); // slot busy until 10004
+    d.request(line(0), false, 10000); // slot busy until 10004
     // The straggler's transfer books the wire 10004 -> 10008, but its
     // charged queue is only the backlog past the high-water mark
     // (4 cycles).  The old report keyed completesAt on now + queue +
@@ -211,7 +213,7 @@ TEST(Dram, BackfillCompletesAtNeverPrecedesDataReturn)
     // later of the two (data availability for reads).
     DramParams p = oneChannel(4, 2);
     Dram d(p);
-    d.access(line(0), false, 10000);
+    d.request(line(0), false, 10000);
     DramAccess r = d.request(line(1), false, 100);
     ASSERT_TRUE(r.backfilled);
     EXPECT_EQ(r.latency, p.baseLatency);
@@ -242,11 +244,11 @@ TEST(DramTiming, RowLegSequencingAndStrictOrdering)
     Dram d(p);
     // Accesses spaced far apart so queue delay is zero and the
     // returned latency is the pure device leg.
-    Cycle miss = d.access(line(0), false, 1000);   // closed: row miss
-    Cycle hit = d.access(line(1), false, 2000);    // same row: hit
-    Cycle hit2 = d.access(line(3), false, 3000);   // still row 0
-    Cycle conf = d.access(line(4), false, 4000);   // row 1: conflict
-    Cycle back = d.access(line(0), false, 5000);   // row 0 again
+    Cycle miss = d.request(line(0), false, 1000).latency;   // closed: row miss
+    Cycle hit = d.request(line(1), false, 2000).latency;    // same row: hit
+    Cycle hit2 = d.request(line(3), false, 3000).latency;   // still row 0
+    Cycle conf = d.request(line(4), false, 4000).latency;   // row 1: conflict
+    Cycle back = d.request(line(0), false, 5000).latency;   // row 0 again
     EXPECT_EQ(miss, p.rowMissLatency());
     EXPECT_EQ(hit, p.rowHitLatency());
     EXPECT_EQ(hit2, p.rowHitLatency());
@@ -284,7 +286,7 @@ TEST(DramTiming, RowLegSequencingAndStrictOrdering)
 
     // A queued same-row read pays queue + device end to end, but its
     // queue lands in queued_cycles only — never in the leg book.
-    EXPECT_EQ(d.access(line(1), false, 5000),
+    EXPECT_EQ(d.request(line(1), false, 5000).latency,
               p.serviceCycles + p.rowHitLatency());
     StatSet s2 = d.stats();
     EXPECT_EQ(s2.get("row_hit_lat_cycles"),
@@ -302,12 +304,12 @@ TEST(DramTiming, WritesMoveRowStateButChargeNoLatency)
     p.rowBits = 2;
     Dram d(p);
     // A posted write opens its row (it is a real column access) ...
-    EXPECT_EQ(d.access(line(0), true, 1000), 0u);
+    EXPECT_EQ(d.request(line(0), true, 1000).latency, 0u);
     // ... so a later read of the same row is a hit, and a write to a
     // different row closes it for the next reader.
-    EXPECT_EQ(d.access(line(1), false, 2000), p.rowHitLatency());
-    EXPECT_EQ(d.access(line(8), true, 3000), 0u);
-    EXPECT_EQ(d.access(line(2), false, 4000), p.rowConflictLatency());
+    EXPECT_EQ(d.request(line(1), false, 2000).latency, p.rowHitLatency());
+    EXPECT_EQ(d.request(line(8), true, 3000).latency, 0u);
+    EXPECT_EQ(d.request(line(2), false, 4000).latency, p.rowConflictLatency());
     StatSet s = d.stats();
     EXPECT_EQ(s.get("row_accesses"), 4.0); // writes counted too
     // Latency legs accumulate for reads only (writes return 0).
@@ -327,11 +329,11 @@ TEST(DramTiming, TurnaroundChargedOnDirectionFlip)
     Dram d(p);
     // write -> read flip: the read's grant waits for the write's slot
     // end plus the turnaround.
-    EXPECT_EQ(d.access(line(0), true, 100), 0u);
-    EXPECT_EQ(d.access(line(1), false, 100),
+    EXPECT_EQ(d.request(line(0), true, 100).latency, 0u);
+    EXPECT_EQ(d.request(line(1), false, 100).latency,
               p.baseLatency + p.serviceCycles + p.turnaroundCycles);
     // read -> read: no flip, plain FCFS behind the previous transfer.
-    EXPECT_EQ(d.access(line(2), false, 100),
+    EXPECT_EQ(d.request(line(2), false, 100).latency,
               p.baseLatency + 2 * p.serviceCycles + p.turnaroundCycles);
     StatSet s = d.stats();
     EXPECT_EQ(s.get("turnarounds"), 1.0);
@@ -348,9 +350,9 @@ TEST(DramTiming, TurnaroundAbsorbedByIdleGap)
     DramParams p = oneChannel();
     p.turnaroundCycles = 12;
     Dram d(p);
-    d.access(line(0), true, 100);
+    d.request(line(0), true, 100);
     // The bus flipped long ago relative to the idle gap: no stall.
-    EXPECT_EQ(d.access(line(1), false, 10000), p.baseLatency);
+    EXPECT_EQ(d.request(line(1), false, 10000).latency, p.baseLatency);
     StatSet s = d.stats();
     EXPECT_EQ(s.get("turnarounds"), 1.0); // the flip still happened
     EXPECT_EQ(s.get("turnaround_cycles"), 0.0);
@@ -367,11 +369,11 @@ TEST(DramTiming, RefreshWindowBlocksChannel)
     p.refreshPenaltyCycles = 100;
     Dram d(p);
     // Inside the window [1000, 1100): grant pushed to the window end.
-    EXPECT_EQ(d.access(line(0), false, 1050), p.baseLatency + 50);
+    EXPECT_EQ(d.request(line(0), false, 1050).latency, p.baseLatency + 50);
     // Exactly at a window start: the full tRFC.
-    EXPECT_EQ(d.access(line(1), false, 2000), p.baseLatency + 100);
+    EXPECT_EQ(d.request(line(1), false, 2000).latency, p.baseLatency + 100);
     // Between windows: untouched.
-    EXPECT_EQ(d.access(line(2), false, 2500), p.baseLatency);
+    EXPECT_EQ(d.request(line(2), false, 2500).latency, p.baseLatency);
     StatSet s = d.stats();
     EXPECT_EQ(s.get("refresh_blocked"), 2.0);
     EXPECT_EQ(s.get("refresh_stall_cycles"), 150.0);
@@ -390,10 +392,10 @@ TEST(DramTiming, RefreshStallGrantedPastBlastIsRowMiss)
     p.refreshIntervalCycles = 1000;
     p.refreshPenaltyCycles = 100;
     Dram d(p);
-    EXPECT_EQ(d.access(line(0), false, 900), p.rowMissLatency());
+    EXPECT_EQ(d.request(line(0), false, 900).latency, p.rowMissLatency());
     // Same row, arrives at 950: the wire frees at 1000 — inside the
     // refresh window — so the grant lands at 1100, past the blast.
-    EXPECT_EQ(d.access(line(1), false, 950),
+    EXPECT_EQ(d.request(line(1), false, 950).latency,
               150 + p.rowMissLatency());
     StatSet s = d.stats();
     EXPECT_EQ(s.get("refresh_blocked"), 1.0);
@@ -412,7 +414,7 @@ TEST(DramTiming, BackfillTurnaroundAbsorbedBySlack)
     DramParams p = oneChannel(4, 2);
     p.turnaroundCycles = 12;
     Dram d(p);
-    d.access(line(0), true, 10000); // write: slot 0, busDir = W
+    d.request(line(0), true, 10000); // write: slot 0, busDir = W
     DramAccess r = d.request(line(1), false, 100); // flip, idle slot 1
     ASSERT_TRUE(r.backfilled);
     EXPECT_EQ(r.latency, p.baseLatency);
@@ -432,8 +434,8 @@ TEST(DramTiming, BackfillRefreshPushAbsorbedBySlack)
     p.refreshIntervalCycles = 1000;
     p.refreshPenaltyCycles = 100;
     Dram d(p);
-    d.access(line(0), false, 996);   // slot 0 busy until 1000
-    d.access(line(1), false, 10500); // slot 1; high-water mark 10500
+    d.request(line(0), false, 996);   // slot 0 busy until 1000
+    d.request(line(1), false, 10500); // slot 1; high-water mark 10500
     // The straggler wins slot 0 whose horizon (1000) sits inside the
     // refresh window [1000, 1100): the transfer books 1100..1104, yet
     // the 10.5k-cycle slack absorbs the push — nobody waited.
@@ -453,17 +455,17 @@ TEST(DramTiming, RefreshClosesTheOpenRow)
     p.refreshIntervalCycles = 1000;
     p.refreshPenaltyCycles = 100;
     Dram d(p);
-    EXPECT_EQ(d.access(line(0), false, 900), p.rowMissLatency());
+    EXPECT_EQ(d.request(line(0), false, 900).latency, p.rowMissLatency());
     // Same row after the tREFI boundary: the blast precharged it, so
     // this is a row miss again, not a hit (and at 1150 the window
     // itself has already passed — pure row-close effect).
-    EXPECT_EQ(d.access(line(1), false, 1150), p.rowMissLatency());
+    EXPECT_EQ(d.request(line(1), false, 1150).latency, p.rowMissLatency());
     EXPECT_EQ(d.stats().get("row_hits"), 0.0);
     EXPECT_EQ(d.stats().get("row_misses"), 2.0);
 }
 
 // --------------------------------------------------------------------
-// Knobs-off identity (PR-4 behavior, stat surface included)
+// Knobs off: flat timing, zeroed timing-leg stats
 // --------------------------------------------------------------------
 
 TEST(DramTiming, KnobsOffKeepFlatTimingAndStatSurface)
@@ -471,17 +473,23 @@ TEST(DramTiming, KnobsOffKeepFlatTimingAndStatSurface)
     DramParams p = oneChannel();
     Dram d(p);
     // Flat device latency, plain FCFS queue math — the PR-4 model.
-    EXPECT_EQ(d.access(line(0), true, 100), 0u);
-    EXPECT_EQ(d.access(line(1), false, 100),
+    EXPECT_EQ(d.request(line(0), true, 100).latency, 0u);
+    EXPECT_EQ(d.request(line(1), false, 100).latency,
               p.baseLatency + p.serviceCycles);
-    EXPECT_EQ(d.access(line(2), false, 10000), p.baseLatency);
-    // No timing-leg stats leak into the exported surface.
+    EXPECT_EQ(d.request(line(2), false, 10000).latency, p.baseLatency);
+    // The timing-leg stats are exported with every leg off, and read 0.
     StatSet s = d.stats();
     for (const char *name :
          {"row_hits", "row_misses", "row_conflicts", "row_accesses",
           "row_hit_rate", "turnarounds", "turnaround_cycles",
-          "refresh_blocked", "refresh_stall_cycles"})
-        EXPECT_FALSE(s.has(name)) << name;
+          "refresh_blocked", "refresh_stall_cycles"}) {
+        ASSERT_TRUE(s.has(name)) << name;
+        EXPECT_EQ(s.get(name), 0.0) << name;
+    }
+    // The full-read-latency book runs regardless: two reads, the first
+    // queued behind the posted write's transfer.
+    EXPECT_EQ(s.get("read_lat_cycles"),
+              static_cast<double>(2 * p.baseLatency + p.serviceCycles));
 }
 
 // --------------------------------------------------------------------
@@ -524,7 +532,7 @@ TEST(Dram, ChannelsSpreadLoad)
     Dram d(p);
     int queued = 0;
     for (Addr a = 0; a < 8; ++a)
-        queued += d.access(line(a), false, 50) > p.baseLatency;
+        queued += d.request(line(a), false, 50).latency > p.baseLatency;
     // With 2 channels, at most 6 of 8 same-instant requests queue.
     EXPECT_LT(queued, 7);
 }
@@ -539,11 +547,11 @@ TEST(Dram, AvgQueueDelayMatchesRawCounters)
     Dram d(p);
     // Mixed traffic: bursts, writes, charged and free backfills.
     for (Addr i = 0; i < 20; ++i)
-        d.access(line(i), false, 1000);
-    d.access(line(30), true, 1000);
-    d.access(line(31), false, 900); // charged backfill
-    d.access(line(32), false, 5000);
-    d.access(line(33), false, 4900); // cheap backfill
+        d.request(line(i), false, 1000);
+    d.request(line(30), true, 1000);
+    d.request(line(31), false, 900); // charged backfill
+    d.request(line(32), false, 5000);
+    d.request(line(33), false, 4900); // cheap backfill
     StatSet s = d.stats();
     double accesses = s.get("reads") + s.get("writes");
     EXPECT_GT(s.get("backfills"), 0.0);
@@ -574,7 +582,7 @@ TEST(Dram, WindowedAvgQueueDelayIsRecomputedFromCounters)
 // --------------------------------------------------------------------
 
 HierarchyParams
-contentionHier(bool dram_fed)
+contentionHier()
 {
     HierarchyParams h;
     h.numCores = 2;
@@ -595,7 +603,6 @@ contentionHier(bool dram_fed)
     h.llcBankServiceCycles = 4;
     h.llcBankPorts = 1;
     h.dram.channels = 1;
-    h.dramFedLlcMshrs = dram_fed;
     return h;
 }
 
@@ -613,47 +620,32 @@ TEST(Hierarchy, DramFedMshrsBookChannelCompletion)
 {
     // Two same-cycle demand misses: the second pays a 4-cycle tag-port
     // wait, a 4-cycle DRAM channel queue and a 4-cycle data-port wait.
-    // The legacy pending book folds every request-path leg into MSHR
-    // residency; the DRAM-fed book holds the MSHR until the channel's
-    // fill completion plus the array write and nothing else.
-    Cycle legacy_ready = 0, fed_ready = 0;
-    for (bool fed : {false, true}) {
-        MemoryHierarchy mem(contentionHier(fed));
-        mem.access(load(0, 0x100000), 0);
-        mem.access(load(1, 0x200000), 0);
-        Cycle ready = mem.llc().pendingReady(0x200000, 1);
-        (fed ? fed_ready : legacy_ready) = ready;
-    }
+    // The LLC MSHR is held until the channel's fill completion plus
+    // the array write; the port waits are request-path legs and do not
+    // stretch it.
+    MemoryHierarchy mem(contentionHier());
+    mem.access(load(0, 0x100000), 0);
+    mem.access(load(1, 0x200000), 0);
     DramParams dram;
-    // DRAM-fed: tag grant at 4 has no bearing; the fill leaves the
-    // channel at 0 + 4 (queue) + baseLatency and lands after the
-    // 40-cycle array write.
-    EXPECT_EQ(fed_ready, 4 + dram.baseLatency + 40);
-    // Legacy additionally books the 8 cycles of tag+data port waits.
-    EXPECT_EQ(legacy_ready, fed_ready + 8);
+    // The tag grant at 4 has no bearing; the fill leaves the channel
+    // at 0 + 4 (queue) + baseLatency and lands after the 40-cycle
+    // array write.
+    EXPECT_EQ(mem.llc().pendingReady(0x200000, 1),
+              4 + dram.baseLatency + 40);
 }
 
 TEST(Hierarchy, DramFedMshrsHoldBackfilledFillsToBookedSlotEnd)
 {
     // A backfilled fill's MSHR entry must live until the wire time the
-    // channel's slot vector actually committed to (the completesAt
-    // bugfix), not the request-path sum: core 0 books the single
-    // channel at t=10000 (slot ends 10004), core 1's straggler miss at
-    // t=100 backfills behind it — its fill occupies 10004..10008 and
-    // the bank MSHR entry is held until 10008 plus the 40-cycle array
-    // write.
-    MemoryHierarchy mem(contentionHier(/*dram_fed=*/true));
+    // channel's slot vector actually committed to, not the request-path
+    // sum: core 0 books the single channel at t=10000 (slot ends 10004),
+    // core 1's straggler miss at t=100 backfills behind it — its fill
+    // occupies 10004..10008 and the bank MSHR entry is held until 10008
+    // plus the 40-cycle array write.
+    MemoryHierarchy mem(contentionHier());
     mem.access(load(0, 0x100000), 10000);
     mem.access(load(1, 0x200000), 100);
     EXPECT_EQ(mem.llc().pendingReady(0x200000, 100), 10008u + 40u);
-
-    // The legacy book keeps the request-path sum: far below the booked
-    // wire time (the pre-fix behavior, preserved byte-for-byte when
-    // dramFedLlcMshrs is off).
-    MemoryHierarchy legacy(contentionHier(/*dram_fed=*/false));
-    legacy.access(load(0, 0x100000), 10000);
-    legacy.access(load(1, 0x200000), 100);
-    EXPECT_LT(legacy.llc().pendingReady(0x200000, 100), 1000u);
 }
 
 // --------------------------------------------------------------------
@@ -713,7 +705,6 @@ TEST(DramSweep, JobsIndependenceWithDramKnobs)
     base.coresPerL2 = 2;
     base.llcBankServiceCycles = 2;
     base.llcBankPorts = 1;
-    base.dramFedLlcMshrs = true;
 
     SweepSpec spec(base);
     spec.dramChannels({1, 2})
@@ -749,7 +740,6 @@ TEST(DramSweep, JobsIndependenceWithTimingKnobs)
 {
     SystemConfig base = defaultConfig(2);
     base.coresPerL2 = 2;
-    base.dramFedLlcMshrs = true;
 
     SweepSpec spec(base);
     spec.dramChannels({1, 2})
@@ -763,10 +753,7 @@ TEST(DramSweep, JobsIndependenceWithTimingKnobs)
     SweepOptions opts;
     opts.extraMetrics.push_back(
         {"row_hit_rate", [](const SimResult &r, const SweepJob &) {
-             // rowbits=0 jobs export no row stats at all.
-             return r.mem.has("dram.row_hit_rate")
-                        ? r.mem.get("dram.row_hit_rate")
-                        : -1.0;
+             return r.mem.get("dram.row_hit_rate");
          }});
 
     opts.jobs = 1;
@@ -777,12 +764,12 @@ TEST(DramSweep, JobsIndependenceWithTimingKnobs)
     EXPECT_EQ(r1.toCsv(), r8.toCsv());
     EXPECT_EQ(r1.toJson(), r8.toJson());
     ASSERT_EQ(r1.rowCount(), 8u);
-    // The stat surface follows the knobs: absent at rowbits=0,
-    // exported (and in [0, 1]) at rowbits=7.
+    // Row stats read 0 with the row model off (rowbits=0) and lie in
+    // [0, 1] with it on (rowbits=7).
     EXPECT_EQ(r1.value({{"dramch", "1"}, {"rowbits", "0"},
                         {"refresh", "off"}},
                        "row_hit_rate"),
-              -1.0);
+              0.0);
     double rate = r1.value({{"dramch", "1"}, {"rowbits", "7"},
                             {"refresh", "2000/200"}},
                            "row_hit_rate");

@@ -12,7 +12,6 @@
 #include "mem/hierarchy.hh"
 #include "mem/llc_bank_set.hh"
 #include "sim/experiment.hh"
-#include "sim/monitors.hh"
 #include "sweep/sweep_runner.hh"
 #include "sweep/sweep_spec.hh"
 #include "workloads/catalog.hh"
@@ -303,7 +302,6 @@ TEST(CacheContention, PortModelQueuesAndDrains)
     // Tag and data arrays are independent resources.
     EXPECT_EQ(bank.occupyDataPort(25, 25), 0u);
     const CacheStats &s = bank.stats();
-    EXPECT_TRUE(s.contentionModeled);
     EXPECT_EQ(s.bankReservations, 4u);
     EXPECT_EQ(s.queuedAccesses, 1u);
     EXPECT_EQ(s.tagQueueCycles, 10u);
@@ -363,9 +361,14 @@ TEST(CacheContention, DisabledModelChargesNothing)
     EXPECT_EQ(bank.occupyTagPort(0), 0u);
     EXPECT_EQ(bank.occupyDataPort(0, 0), 0u);
     const CacheStats &s = bank.stats();
-    EXPECT_FALSE(s.contentionModeled);
     EXPECT_EQ(s.bankReservations, 0u);
     EXPECT_EQ(s.queuedAccesses, 0u);
+    // The queue counters are still exported, as zeros.
+    StatSet exported = s.toStatSet();
+    ASSERT_TRUE(exported.has("queue_cycles"));
+    ASSERT_TRUE(exported.has("bank_reservations"));
+    EXPECT_EQ(exported.get("queue_cycles"), 0.0);
+    EXPECT_EQ(exported.get("bank_reservations"), 0.0);
 }
 
 HierarchyParams
@@ -438,11 +441,14 @@ TEST(HierarchyContention, MshrStallsChargedToOwningBank)
               s.get("llc.bank0.mshr_stall_cycles"));
 }
 
-TEST(HierarchyContention, QueueStatsOnlyExportedWhenModeled)
+TEST(HierarchyContention, QueueStatsExportedWithModelOnOrOff)
 {
     MemoryHierarchy off(contentionHier(2, 0));
     off.access(load(0x1000), 0);
-    EXPECT_FALSE(off.stats().has("llc.queue_cycles"));
+    StatSet s_off = off.stats();
+    ASSERT_TRUE(s_off.has("llc.queue_cycles"));
+    EXPECT_EQ(s_off.get("llc.queue_cycles"), 0.0);
+    EXPECT_EQ(s_off.get("llc.bank_reservations"), 0.0);
 
     MemoryHierarchy on(contentionHier(2, 4));
     on.access(load(0x1000), 0);
@@ -545,24 +551,19 @@ TEST(BankedStats, WindowRatesRecomputedFromSubtractedCounters)
                          r.mem.get("l1d.accesses"));
 }
 
-TEST(BankQueueMonitorTest, AttributesTrafficAndDelayPerBank)
+TEST(HierarchyContention, PerBankStatsAttributeTrafficAndQueueing)
 {
-    HierarchyParams h = contentionHier(2, 8);
-    MemoryHierarchy mem(h);
-    BankQueueMonitor mon(2, 0);
-    mem.addLlcListener(&mon);
+    MemoryHierarchy mem(contentionHier(2, 8));
     // Same-cycle flood of bank-0 lines (even line numbers) queues
     // there; bank 1 sees nothing.
     for (Addr line = 0; line < 16; line += 2)
         mem.access(load(line * kLineBytes), 0);
-    EXPECT_EQ(mon.bankOf(0), 0u);
-    EXPECT_EQ(mon.bankOf(1 * kLineBytes), 1u);
-    StatSet s = mon.stats();
-    EXPECT_EQ(s.get("bank0.accesses"), 8.0);
-    EXPECT_EQ(s.get("bank1.accesses"), 0.0);
-    EXPECT_GT(s.get("bank0.queue_cycles"), 0.0);
-    EXPECT_GT(mon.meanQueueDelay(), 0.0);
-    EXPECT_EQ(mon.accessImbalance(), 2.0); // all traffic on one of two
+    StatSet s = mem.stats();
+    EXPECT_EQ(s.get("llc.bank0.accesses"), 8.0);
+    EXPECT_EQ(s.get("llc.bank1.accesses"), 0.0);
+    EXPECT_GT(s.get("llc.bank0.queue_cycles"), 0.0);
+    EXPECT_EQ(s.get("llc.bank1.queue_cycles"), 0.0);
+    EXPECT_EQ(s.get("llc.queue_cycles"), s.get("llc.bank0.queue_cycles"));
 }
 
 TEST(ContentionSweep, DeterministicAcrossJobCounts)

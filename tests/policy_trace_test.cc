@@ -5,8 +5,8 @@
  * and data classes, writes, prefetches, two address regions) and the
  * full hit/victim/evict/stat trace is folded into an FNV-1a hash that
  * is pinned to a constant recorded from the virtual-dispatch +
- * unordered_map implementation.  The devirtualized dispatch, the
- * flattened Mockingjay sampler, and the SoA probe arrays must all
+ * unordered_map implementation.  The closed (variant) policy type,
+ * the flattened Mockingjay sampler, and the SoA probe arrays must all
  * reproduce these traces bit-for-bit: any divergence (a different
  * victim, a different eviction order, a miscounted stat) moves the
  * hash.

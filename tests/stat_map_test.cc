@@ -164,11 +164,11 @@ TEST_F(StatMapTest, SpotChecksAndFullCoverage)
 
     // Spot-check one stat of each kind, including its gate where the
     // declaration carries one.
-    ASSERT_TRUE(stats.has("row_hits"));
-    EXPECT_EQ(stats.get("row_hits").get("kind").asString(), "counter");
-    EXPECT_EQ(stats.get("row_hits")
-                  .get("producers").get("Dram").asString(),
-              "rowModelOn");
+    ASSERT_TRUE(stats.has("helper.hits"));
+    EXPECT_EQ(stats.get("helper.hits").get("kind").asString(), "counter");
+    EXPECT_EQ(stats.get("helper.hits")
+                  .get("producers").get("Garibaldi").asString(),
+              "helpers");
 
     ASSERT_TRUE(stats.has("row_hit_rate"));
     EXPECT_EQ(stats.get("row_hit_rate").get("kind").asString(),
@@ -185,8 +185,8 @@ TEST_F(StatMapTest, SpotChecksAndFullCoverage)
     EXPECT_EQ(stats.get("instr_distance_p90").get("kind").asString(),
               "quantile");
 
-    ASSERT_TRUE(stats.has("access_imbalance"));
-    EXPECT_EQ(stats.get("access_imbalance").get("kind").asString(),
+    ASSERT_TRUE(stats.has("instr_mean_distance"));
+    EXPECT_EQ(stats.get("instr_mean_distance").get("kind").asString(),
               "histogram_summary");
 
     // Every StatSet::add site in src/ matched a declaration: the
